@@ -1,11 +1,15 @@
 """The thirteen basic interval relations, relation sets and composition.
 
 Relations are defined through endpoint comparisons over exact rationals:
-two proper intervals always stand in exactly one basic relation, relation
-sets are 13-bit masks, and composition is a table lookup.  The shipped
-table is a frozen constant; :func:`generate_composition_table` re-derives
-it from scratch by enumerating small integer interval configurations, and
-the test suite asserts the two agree bit for bit.
+two proper intervals always stand in exactly one basic relation.  A
+relation set is a 13-bit int mask, bit ``r`` standing for ``RELATIONS[r]``;
+:class:`RelationSet` is the public, range-checked type, while the solver
+works on the bare ints through :func:`compose_masks` and
+:func:`converse_mask`.  Both read small tables built at import from the
+frozen composition table; nothing is cached at run time.
+:func:`generate_composition_table` re-derives the frozen table from scratch
+by enumerating small integer interval configurations, and the test suite
+asserts the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -146,10 +150,7 @@ class RelationSet:
         return RELATIONS[self.bits.bit_length() - 1]
 
     def inverse(self) -> "RelationSet":
-        bits = 0
-        for r in self:
-            bits |= r.inverse.bit
-        return RelationSet(bits)
+        return RelationSet(converse_mask(self.bits))
 
     def tokens(self) -> str:
         return " ".join(r.token for r in self)
@@ -259,44 +260,53 @@ _COMPOSITION_ROWS: dict[str, dict[str, str]] = {
 }
 
 
-def _build_compose_matrix() -> list[list[RelationSet]]:
-    matrix = [[EMPTY] * len(RELATIONS) for _ in RELATIONS]
-    for r_token, row in _COMPOSITION_ROWS.items():
-        r = Relation.from_token(r_token)
-        for s_token, entry in row.items():
-            s = Relation.from_token(s_token)
-            rels = UNIVERSAL if entry == "*" else RelationSet.parse(entry)
-            matrix[_INDEX[r]][_INDEX[s]] = rels
-    return matrix
+def _half_tables(images: list[int]) -> list[list[int]]:
+    """Lookup tables for the union of ``images[r]`` over the relations r of
+    a mask: one indexed by its low 7 bits, one by its high 6 bits."""
+    tables = []
+    for part in (images[:7], images[7:]):
+        table = [0]
+        for image in part:
+            # masks that add this bit follow, in order, the masks without it
+            table += [bits | image for bits in table]
+        tables.append(table)
+    return tables
 
 
-_COMPOSE: list[list[RelationSet]] = _build_compose_matrix()
+def _composition_images(r: Relation) -> list[int]:
+    row = _COMPOSITION_ROWS[r.token]
+    return [
+        _ALL_BITS if row[s.token] == "*" else RelationSet.parse(row[s.token]).bits
+        for s in RELATIONS
+    ]
+
+
+_CONVERSE_LOW, _CONVERSE_HIGH = _half_tables([r.inverse.bit for r in RELATIONS])
+_COMPOSE_LOW, _COMPOSE_HIGH = zip(*(_half_tables(_composition_images(r)) for r in RELATIONS))
+
+
+def converse_mask(mask: int) -> int:
+    """Converse of a relation mask (an int in 0..8191)."""
+    return _CONVERSE_LOW[mask & 127] | _CONVERSE_HIGH[mask >> 7]
+
+
+def compose_masks(mask1: int, mask2: int) -> int:
+    """Union of the pairwise compositions of two relation masks."""
+    low, high = mask2 & 127, mask2 >> 7
+    bits = 0
+    while mask1:
+        lowest = mask1 & -mask1
+        r = lowest.bit_length() - 1
+        bits |= _COMPOSE_LOW[r][low] | _COMPOSE_HIGH[r][high]
+        mask1 ^= lowest
+    return bits
 
 
 def compose(r: Relation, s: Relation) -> RelationSet:
     """Composition of two basic relations, from the frozen table."""
-    return _COMPOSE[_INDEX[r]][_INDEX[s]]
+    return RelationSet(compose_masks(r.bit, s.bit))
 
 
 def compose_sets(rels1: RelationSet, rels2: RelationSet) -> RelationSet:
     """Union of the pairwise compositions of two relation sets."""
-    key = (rels1.bits, rels2.bits)
-    cached = _COMPOSE_SETS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    bits = 0
-    for r in rels1:
-        row = _COMPOSE[_INDEX[r]]
-        for s in rels2:
-            bits |= row[_INDEX[s]].bits
-            if bits == _ALL_BITS:
-                break
-        if bits == _ALL_BITS:
-            break
-    result = RelationSet(bits)
-    if len(_COMPOSE_SETS_CACHE) < 65536:
-        _COMPOSE_SETS_CACHE[key] = result
-    return result
-
-
-_COMPOSE_SETS_CACHE: dict[tuple[int, int], RelationSet] = {}
+    return RelationSet(compose_masks(rels1.bits, rels2.bits))

@@ -148,11 +148,8 @@ def _cmd_scenario(args) -> int:
         print("error: schedule failed re-verification", file=sys.stderr)
         return 2
     print("scenario:")
-    count = len(scenario.variables)
-    for i in range(count):
-        for j in range(i + 1, count):
-            rel = scenario.constraints[i][j].single()
-            print(f"    {scenario.variables[i]} {{{rel.token}}} {scenario.variables[j]}")
+    for vi, vj, rels in scenario.nontrivial_pairs():
+        print(f"    {vi} {{{rels.single().token}}} {vj}")
     print("schedule:")
     for name in scenario.variables:
         iv = schedule[name]
@@ -194,17 +191,21 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+def _table_mismatches() -> list[tuple[Relation, Relation]]:
+    """Entries where the frozen composition table and a fresh derivation differ."""
+    generated = generate_composition_table()
+    return [
+        (r, s)
+        for r in RELATIONS
+        for s in RELATIONS
+        if generated[(r, s)] != compose(r, s)
+    ]
+
+
 def _cmd_table(args) -> int:
     if args.verify:
-        generated = generate_composition_table()
-        mismatches = [
-            (r, s)
-            for r in RELATIONS
-            for s in RELATIONS
-            if generated[(r, s)] != compose(r, s)
-        ]
-        matching = 169 - len(mismatches)
-        print(f"{matching}/169 entries match")
+        mismatches = _table_mismatches()
+        print(f"{169 - len(mismatches)}/169 entries match")
         for r, s in mismatches:
             print(f"    mismatch at ({r.token}, {s.token})")
         return 0 if not mismatches else 1
@@ -242,10 +243,7 @@ def _cmd_oracle_verify(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
 
-    generated = generate_composition_table()
-    table_bad = sum(
-        1 for r in RELATIONS for s in RELATIONS if generated[(r, s)] != compose(r, s)
-    )
+    table_bad = len(_table_mismatches())
     print(f"composition table: {169 - table_bad}/169 entries match")
     failures += table_bad
 

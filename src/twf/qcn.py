@@ -1,9 +1,11 @@
 """Qualitative constraint networks over interval variables.
 
-A network holds a square matrix of relation sets kept converse-coherent at
-all times.  Path consistency refines it; consistency and scenario search
-run a backtracking solver pruned by path consistency, and every scenario
-found is realized as a concrete rational schedule before being reported.
+A network holds a square matrix of relation masks (ints, as defined in
+:mod:`twf.allen`) kept converse-coherent at all times; its methods take and
+return :class:`RelationSet` values, and only the solver reads the masks.
+Path consistency refines the matrix; consistency and scenario search run a
+backtracking solver pruned by path consistency, and every scenario found
+is realized as a concrete rational schedule before being reported.
 Entailment enumerates realizable scenarios exhaustively, which is
 exponential and intended for desk-scale networks.
 """
@@ -16,13 +18,12 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .allen import (
-    EMPTY,
-    RELATIONS,
     UNIVERSAL,
     Interval,
     Relation,
     RelationSet,
-    compose_sets,
+    compose_masks,
+    converse_mask,
     relation_between,
 )
 
@@ -41,27 +42,36 @@ class UnrealizableScenarioError(ValueError):
 
 Schedule = dict[str, Interval]
 
+_EQ = Relation.EQUALS.bit
+_ANY = UNIVERSAL.bits
+
+
+def _replaced(row: tuple[int, ...], k: int, mask: int) -> tuple[int, ...]:
+    return row[:k] + (mask,) + row[k + 1:]
+
 
 @dataclass(frozen=True)
 class Qcn:
     """A qualitative constraint network (variables, constraint matrix).
 
-    Diagonal entries are {eq}; off-diagonal entries default to the
-    universal set; the matrix always satisfies C[j][i] = inverse(C[i][j]).
+    ``constraints[i][j]`` is the relation mask between variables i and j;
+    callers read it as a RelationSet through :meth:`get` or
+    :meth:`nontrivial_pairs`.  Diagonal entries are {eq}; off-diagonal
+    entries default to the universal set; the matrix always satisfies
+    C[j][i] = inverse(C[i][j]).
     """
 
     variables: tuple[str, ...]
-    constraints: tuple[tuple[RelationSet, ...], ...]
+    constraints: tuple[tuple[int, ...], ...]
 
     @classmethod
     def universal(cls, variables: tuple[str, ...] | list[str] = ()) -> "Qcn":
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        eq = RelationSet.of(Relation.EQUALS)
         n = len(names)
         matrix = tuple(
-            tuple(eq if i == j else UNIVERSAL for j in range(n)) for i in range(n)
+            tuple(_EQ if i == j else _ANY for j in range(n)) for i in range(n)
         )
         return cls(names, matrix)
 
@@ -72,18 +82,15 @@ class Qcn:
             raise UnknownVariableError(variable) from None
 
     def get(self, vi: str, vj: str) -> RelationSet:
-        return self.constraints[self.index(vi)][self.index(vj)]
+        return RelationSet(self.constraints[self.index(vi)][self.index(vj)])
 
     def with_variable(self, name: str) -> "Qcn":
+        """The network plus one unconstrained variable (itself if present)."""
         if name in self.variables:
             return self
-        return Qcn.universal(self.variables + (name,))._merge(self)
-
-    def _merge(self, other: "Qcn") -> "Qcn":
-        out = self
-        for vi, vj, rels in other.nontrivial_pairs():
-            out = out.set_constraint(vi, vj, rels)
-        return out
+        rows = tuple(row + (_ANY,) for row in self.constraints)
+        last = (_ANY,) * len(rows) + (_EQ,)
+        return Qcn(self.variables + (name,), rows + (last,))
 
     def set_constraint(self, vi: str, vj: str, rels: RelationSet) -> "Qcn":
         """Intersect ``rels`` into C[vi][vj] (and its converse into C[vj][vi]).
@@ -92,35 +99,33 @@ class Qcn:
         out eq there leaves an empty entry, i.e. an inconsistent network.
         """
         i, j = self.index(vi), self.index(vj)
-        rows = [list(row) for row in self.constraints]
-        if i == j:
-            rows[i][i] = rows[i][i] & rels
-        else:
-            rows[i][j] = rows[i][j] & rels
-            rows[j][i] = rows[i][j].inverse()
-        return Qcn(self.variables, tuple(tuple(row) for row in rows))
+        rows = list(self.constraints)
+        mask = rows[i][j] & rels.bits
+        rows[i] = _replaced(rows[i], j, mask)
+        if i != j:
+            rows[j] = _replaced(rows[j], i, converse_mask(mask))
+        return Qcn(self.variables, tuple(rows))
 
     def nontrivial_pairs(self) -> Iterator[tuple[str, str, RelationSet]]:
         """Upper-triangle entries that actually constrain something."""
         n = len(self.variables)
         for i in range(n):
             for j in range(i + 1, n):
-                rels = self.constraints[i][j]
-                if not rels.is_universal:
-                    yield self.variables[i], self.variables[j], rels
+                mask = self.constraints[i][j]
+                if mask != _ANY:
+                    yield self.variables[i], self.variables[j], RelationSet(mask)
 
     def degenerate_diagonal(self) -> Iterator[tuple[str, RelationSet]]:
         """Variables whose diagonal entry was constrained away from {eq}."""
-        eq = RelationSet.of(Relation.EQUALS)
         for i, name in enumerate(self.variables):
-            if self.constraints[i][i] != eq:
-                yield name, self.constraints[i][i]
+            if self.constraints[i][i] != _EQ:
+                yield name, RelationSet(self.constraints[i][i])
 
     @property
     def is_scenario(self) -> bool:
         n = len(self.variables)
         return all(
-            self.constraints[i][j].is_singleton
+            self.constraints[i][j].bit_count() == 1
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -137,34 +142,13 @@ Scenario = Qcn
 # Path consistency
 
 
-def _to_bits(n: Qcn) -> list[list[int]]:
-    return [[rels.bits for rels in row] for row in n.constraints]
-
-
-def _from_bits(variables: tuple[str, ...], bits: list[list[int]]) -> Qcn:
-    return Qcn(
-        variables,
-        tuple(tuple(RelationSet(b) for b in row) for row in bits),
-    )
-
-
-def _compose_bits(b1: int, b2: int) -> int:
-    return compose_sets(RelationSet(b1), RelationSet(b2)).bits
-
-
-def _inverse_bits(bits: int) -> int:
-    return RelationSet(bits).inverse().bits
-
-
-def _pc_bits(m: list[list[int]]) -> bool:
-    """Refine the matrix in place to its path-consistent fixpoint.
+def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
+    """Refine the mask matrix in place, revising every triangle through the
+    queued edges (i < j) and through each edge it narrows, to a fixpoint.
 
     Returns False as soon as an entry becomes empty.
     """
     n = len(m)
-    if n < 3:
-        return all(m[i][j] for i in range(n) for j in range(n))
-    queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
     queued = set(queue)
     while queue:
         i, j = queue.popleft()
@@ -172,31 +156,29 @@ def _pc_bits(m: list[list[int]]) -> bool:
         for k in range(n):
             if k == i or k == j:
                 continue
-            # (i,k) through j
-            refined = m[i][k] & _compose_bits(m[i][j], m[j][k])
-            if refined != m[i][k]:
-                if not refined:
-                    m[i][k] = m[k][i] = 0
-                    return False
-                m[i][k] = refined
-                m[k][i] = _inverse_bits(refined)
-                edge = (min(i, k), max(i, k))
-                if edge not in queued:
-                    queued.add(edge)
-                    queue.append(edge)
-            # (k,j) through i
-            refined = m[k][j] & _compose_bits(m[k][i], m[i][j])
-            if refined != m[k][j]:
-                if not refined:
-                    m[k][j] = m[j][k] = 0
-                    return False
-                m[k][j] = refined
-                m[j][k] = _inverse_bits(refined)
-                edge = (min(k, j), max(k, j))
-                if edge not in queued:
-                    queued.add(edge)
-                    queue.append(edge)
-    return all(m[i][j] for i in range(n) for j in range(n))
+            # (i,k) through j, then (k,j) through i
+            for a, b, via in ((i, k, j), (k, j, i)):
+                refined = m[a][b] & compose_masks(m[a][via], m[via][b])
+                if refined != m[a][b]:
+                    if not refined:
+                        m[a][b] = m[b][a] = 0
+                        return False
+                    m[a][b] = refined
+                    m[b][a] = converse_mask(refined)
+                    edge = (a, b) if a < b else (b, a)
+                    if edge not in queued:
+                        queued.add(edge)
+                        queue.append(edge)
+    return True
+
+
+def _closure(n: Qcn) -> tuple[list[list[int]], bool]:
+    """The network's mask matrix refined from every edge, and whether no
+    entry is empty."""
+    m = [list(row) for row in n.constraints]
+    count = len(m)
+    edges = deque((i, j) for i in range(count) for j in range(i + 1, count))
+    return m, _pc_bits(m, edges) and all(map(all, m))
 
 
 def path_consistency(n: Qcn) -> tuple[Qcn, bool]:
@@ -206,9 +188,8 @@ def path_consistency(n: Qcn) -> tuple[Qcn, bool]:
     empty, False once an inconsistency surfaced.  Refinement only removes
     relations that cannot take part in any solution.
     """
-    m = _to_bits(n)
-    ok = _pc_bits(m)
-    return _from_bits(n.variables, m), ok
+    m, ok = _closure(n)
+    return Qcn(n.variables, tuple(map(tuple, m))), ok
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +202,13 @@ def scenarios(n: Qcn) -> Iterator[Qcn]:
     Backtracking over basic-relation choices edge by edge, path consistency
     after every assignment, candidate scenarios re-verified by schedule
     construction before being yielded.  The empty network has exactly one
-    (empty) scenario.
+    (empty) scenario.  A candidate without a schedule would be a solver
+    defect and raises UnrealizableScenarioError.
     """
-    m = _to_bits(n)
-    if not _pc_bits(m):
+    m, ok = _closure(n)
+    if not ok:
         return
-    count = len(n.variables)
+    count = len(m)
 
     def search(matrix: list[list[int]]) -> Iterator[list[list[int]]]:
         best = None
@@ -240,21 +222,21 @@ def scenarios(n: Qcn) -> Iterator[Qcn]:
             yield matrix
             return
         i, j = best
-        for rel in RELATIONS:
-            if not matrix[i][j] & rel.bit:
-                continue
+        choices = matrix[i][j]
+        while choices:
+            rel = choices & -choices
+            choices ^= rel
             trial = [row[:] for row in matrix]
-            trial[i][j] = rel.bit
-            trial[j][i] = rel.inverse.bit
-            if _pc_bits(trial):
+            trial[i][j] = rel
+            trial[j][i] = converse_mask(rel)
+            # the matrix was closed before this choice, so only triangles
+            # through (i, j) can need revising
+            if _pc_bits(trial, deque([(i, j)])):
                 yield from search(trial)
 
     for solved in search(m):
-        scenario = _from_bits(n.variables, solved)
-        try:
-            realize_scenario(scenario)
-        except UnrealizableScenarioError:  # pragma: no cover - PC is complete on atoms
-            continue
+        scenario = Qcn(n.variables, tuple(map(tuple, solved)))
+        realize_scenario(scenario)
         yield scenario
 
 
@@ -317,7 +299,7 @@ def realize_scenario(s: Qcn) -> Schedule:
     ]
     for i in range(count):
         for j in range(i + 1, count):
-            rel = s.constraints[i][j].single()
+            rel = RelationSet(s.constraints[i][j]).single()
             for (va, pa), op, (vb, pb) in _endpoint_facts(rel):
                 a = (i if va == 0 else j, pa)
                 b = (i if vb == 0 else j, pb)
@@ -358,7 +340,7 @@ def realize_scenario(s: Qcn) -> Schedule:
 
     for i in range(count):
         for j in range(i + 1, count):
-            want = s.constraints[i][j].single()
+            want = RelationSet(s.constraints[i][j]).single()
             got = relation_between(schedule[s.variables[i]], schedule[s.variables[j]])
             if got is not want:
                 raise UnrealizableScenarioError(

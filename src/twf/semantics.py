@@ -544,14 +544,10 @@ def _network_checks(n: Qcn) -> Optional[list[Check]]:
     for _, rels in n.degenerate_diagonal():
         if Relation.EQUALS not in rels:
             return None
-    checks: list[Check] = []
-    count = len(n.variables)
-    for i in range(count):
-        for j in range(i + 1, count):
-            rels = n.constraints[i][j]
-            if not rels.is_universal:
-                checks.append(_hull_relation_check([i], [j], rels))
-    return checks
+    return [
+        _hull_relation_check([n.index(vi)], [n.index(vj)], rels)
+        for vi, vj, rels in n.nontrivial_pairs()
+    ]
 
 
 def network_models_bruteforce(n: Qcn) -> Iterator[dict[str, Interval]]:

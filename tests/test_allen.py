@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twf.allen import (
@@ -16,6 +16,7 @@ from twf.allen import (
     RelationSet,
     compose,
     compose_sets,
+    converse_mask,
     generate_composition_table,
     interval,
     inverse,
@@ -172,12 +173,20 @@ class TestComposition:
         for key, seen in witnessed.items():
             assert seen == compose(*key), key
 
-    def test_compose_sets_is_pairwise_union(self):
-        bm = RelationSet.parse("b m")
-        od = RelationSet.parse("o d")
+    @given(st.integers(0, 8191), st.integers(0, 8191))
+    @settings(max_examples=400)
+    @example(0, 8191)
+    @example(RelationSet.parse("b m").bits, RelationSet.parse("o d").bits)
+    def test_compose_sets_is_pairwise_union(self, bits1, bits2):
+        rels1, rels2 = RelationSet(bits1), RelationSet(bits2)
         expected = EMPTY
-        for r in bm:
-            for s in od:
+        for r in rels1:
+            for s in rels2:
                 expected = expected | compose(r, s)
-        assert compose_sets(bm, od) == expected
-        assert compose_sets(EMPTY, UNIVERSAL) == EMPTY
+        assert compose_sets(rels1, rels2) == expected
+
+    def test_converse_mask_every_mask(self):
+        for bits in range(1 << 13):
+            converse = converse_mask(bits)
+            assert converse == RelationSet.of(*(r.inverse for r in RelationSet(bits))).bits
+            assert converse_mask(converse) == bits

@@ -20,6 +20,7 @@ from twf.qcn import (
 )
 from twf.semantics import (
     network_consistent_bruteforce,
+    network_models_bruteforce,
     network_scenario_relations_bruteforce,
 )
 
@@ -62,6 +63,15 @@ class TestConstruction:
         assert list(n.degenerate_diagonal()) == [("i", RelationSet(0))]
         assert not is_consistent(n)
 
+    def test_with_variable_keeps_constraints(self):
+        n = Qcn.universal(("i", "j")).set_constraint("i", "i", B).set_constraint("i", "j", BM)
+        grown = n.with_variable("k")
+        assert grown.variables == ("i", "j", "k")
+        assert list(grown.degenerate_diagonal()) == [("i", RelationSet(0))]
+        assert list(grown.nontrivial_pairs()) == [("i", "j", BM)]
+        assert grown.get("k", "k") == RelationSet.parse("eq")
+        assert not is_consistent(grown)
+
 
 class TestPathConsistency:
     def test_before_chain_refines(self):
@@ -86,9 +96,9 @@ class TestPathConsistency:
         for _ in range(40):
             n = random_network(rng, rng.randint(2, 5))
             refined, ok = path_consistency(n)
-            for i in range(len(n.variables)):
-                for j in range(len(n.variables)):
-                    assert refined.constraints[i][j].bits & ~n.constraints[i][j].bits == 0
+            for vi in n.variables:
+                for vj in n.variables:
+                    assert refined.get(vi, vj).bits & ~n.get(vi, vj).bits == 0
             if ok:
                 again, ok2 = path_consistency(refined)
                 assert ok2 and again == refined
@@ -130,13 +140,35 @@ class TestConsistency:
             n = random_network(rng, rng.randint(2, 4))
             assert is_consistent(n) == network_consistent_bruteforce(n)
 
+    def test_scenarios_complete_and_distinct(self, rng):
+        # the relation tuples of the scenarios are exactly those realized by
+        # the brute-force models, each yielded once
+        for _ in range(60):
+            n = random_network(rng, rng.randint(2, 4))
+            pairs = [(vi, vj) for i, vi in enumerate(n.variables) for vj in n.variables[i + 1:]]
+            found = [tuple(s.get(vi, vj).single() for vi, vj in pairs) for s in scenarios(n)]
+            realized = {
+                tuple(relation_between(model[vi], model[vj]) for vi, vj in pairs)
+                for model in network_models_bruteforce(n)
+            }
+            assert len(found) == len(set(found))
+            assert set(found) == realized
+
+    def test_unrealizable_candidate_raises(self, monkeypatch):
+        def refuse(scenario):
+            raise UnrealizableScenarioError("refused")
+
+        monkeypatch.setattr("twf.qcn.realize_scenario", refuse)
+        with pytest.raises(UnrealizableScenarioError):
+            next(scenarios(Qcn.universal(("i", "j")).set_constraint("i", "j", B)))
+
     def test_scenarios_are_atomic_and_coherent(self, rng):
         n = random_network(rng, 4, tightness=0.8)
         for s in scenarios(n):
             assert s.is_scenario
-            for i in range(4):
-                for j in range(4):
-                    assert s.constraints[i][j] == s.constraints[j][i].inverse()
+            for vi in n.variables:
+                for vj in n.variables:
+                    assert s.get(vi, vj) == s.get(vj, vi).inverse()
 
 
 class TestRealization:
