@@ -3,7 +3,7 @@
 Grammar (terms may carry a reference label; ``#`` starts a line comment):
 
     doc        := "workflow" name "=" expr ("constraints" "{" constraint* "}")?
-    expr       := term ("->" term)*                      left-associative
+    expr       := term ("->" term)*
     term       := [label ":"] atom
                 | [label ":"] "and{" expr (";" expr)+ "}"
                 | [label ":"] "or{"  expr ("|" expr)+ "}"
@@ -14,16 +14,19 @@ Grammar (terms may carry a reference label; ``#`` starts a line comment):
     relset     := "{" rel ("," rel)* "}"
     ref        := atom-name | label
 
-N-ary groups desugar to right-nested binary nodes; ``->`` chains to
-left-nested ones.  Atom names may be single- or double-quoted strings
-(backslash escapes), so activities can be whole phrases.  Constraint
-references resolve to interval variables of the attached network.
+A ``->`` chain becomes one sequence node and each ``and{}``/``or{}`` group
+one conjunction/disjunction node holding all of its parts; parentheses
+keep the source nesting.  Brackets (``(``, ``and{``, ``or{``, ``loop{``)
+nest at most MAX_NESTING levels deep.  Atom names may be single- or
+double-quoted strings (backslash escapes), so activities can be whole
+phrases.  Constraint references resolve to interval variables of the
+attached network.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .allen import Relation, RelationSet
@@ -48,6 +51,11 @@ from .workflow import (
 )
 
 RESERVED = {"workflow", "constraints", "and", "or", "loop"}
+
+# Deepest bracket nesting the parser accepts.  The tree, and every
+# recursive walk over it, is as deep as the brackets, so the cap keeps
+# them all far from Python's recursion limit.
+MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -155,6 +163,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0
         self.spans: dict[int, tuple[int, int]] = {}
 
     @property
@@ -199,12 +208,29 @@ class _Parser:
         return name.value, tree, constraints
 
     def expr(self) -> Workflow:
-        node = self.term()
+        parts = [self.term()]
         while self.current.kind == "ARROW":
             self.advance()
-            right = self.term()
-            node = self._note(Seq(node, right), self.spans[id(node)])
-        return node
+            parts.append(self.term())
+        if len(parts) == 1:
+            return parts[0]
+        return self._note(Seq(tuple(parts)), self.spans[id(parts[0])])
+
+    def bracketed(self, opener: Token, closer: str, sep: Optional[str] = None) -> list[Workflow]:
+        """The expressions up to the closing bracket: one, or with a
+        separator two or more."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"brackets nest deeper than {MAX_NESTING} levels", opener)
+        parts = [self.expr()]
+        while sep is not None and self.current.kind == sep:
+            self.advance()
+            parts.append(self.expr())
+        if sep is not None and len(parts) < 2:
+            raise self.fail(f"'{opener.value}' group needs at least two alternatives")
+        self.expect(closer, f"'{closer}'")
+        self.depth -= 1
+        return parts
 
     def term(self) -> Workflow:
         label: Optional[str] = None
@@ -221,28 +247,18 @@ class _Parser:
             self.advance()
             self.expect("{", "'{'")
             sep = ";" if token.value == "and" else "|"
-            parts = [self.expr()]
-            while self.current.kind == sep:
-                self.advance()
-                parts.append(self.expr())
-            if len(parts) < 2:
-                raise self.fail(f"'{token.value}' group needs at least two alternatives")
-            self.expect("}", "'}'")
+            parts = self.bracketed(token, "}", sep)
             kind = Conj if token.value == "and" else Disj
-            out = parts[-1]
-            for part in reversed(parts[:-1]):
-                out = self._note(kind(part, out), (start.line, start.col))
+            out = self._note(kind(tuple(parts)), (start.line, start.col))
             return self._label(out, label, start)
         if token.kind == "IDENT" and token.value == "loop":
             self.advance()
             self.expect("{", "'{'")
-            body = self.expr()
-            self.expect("}", "'}'")
+            (body,) = self.bracketed(token, "}")
             return self._label(self._note(Loop(body), (start.line, start.col)), label, start)
         if token.kind == "(":
             self.advance()
-            inner = self.expr()
-            self.expect(")", "')'")
+            (inner,) = self.bracketed(token, ")")
             return self._label(inner, label, start)
         if token.kind == "STRING" or (token.kind == "IDENT" and token.value not in RESERVED):
             self.advance()
@@ -293,8 +309,6 @@ class _Parser:
             return node
         if node.label is not None:
             raise self.fail(f"node already carries label {node.label!r}", start)
-        from dataclasses import replace
-
         relabeled = replace(node, label=label)
         self.spans[id(relabeled)] = self.spans.get(id(node), (start.line, start.col))
         return relabeled
@@ -372,54 +386,26 @@ def _format_term(node: Workflow) -> str:
     match node:
         case Atomic(name, _, _):
             return f"{prefix}{_quote(name)}"
-        case Seq():
-            return f"{prefix}( {_format_expr(node, chain_label_ok=True)} )"
-        case Conj():
-            parts = _conj_parts(node)
-            return f"{prefix}and{{ {' ; '.join(_format_expr(p) for p in parts)} }}"
-        case Disj():
-            parts = _disj_parts(node)
-            return f"{prefix}or{{ {' | '.join(_format_expr(p) for p in parts)} }}"
+        case Seq(parts):
+            return f"{prefix}( {' -> '.join(map(_format_term, parts))} )"
+        case Conj(parts):
+            return f"{prefix}and{{ {' ; '.join(map(_format_expr, parts))} }}"
+        case Disj(parts):
+            return f"{prefix}or{{ {' | '.join(map(_format_expr, parts))} }}"
         case Loop(body, _):
             return f"{prefix}loop{{ {_format_expr(body)} }}"
     raise TypeError(f"not a workflow node: {node!r}")
 
 
-def _conj_parts(node: Workflow) -> list[Workflow]:
-    if isinstance(node, Conj):
-        head = [node.left] if node.left.label is not None or not isinstance(node.left, Conj) else _conj_parts(node.left)
-        tail = [node.right] if node.right.label is not None or not isinstance(node.right, Conj) else _conj_parts(node.right)
-        return head + tail
-    return [node]
-
-
-def _disj_parts(node: Workflow) -> list[Workflow]:
-    if isinstance(node, Disj):
-        head = [node.left] if node.left.label is not None or not isinstance(node.left, Disj) else _disj_parts(node.left)
-        tail = [node.right] if node.right.label is not None or not isinstance(node.right, Disj) else _disj_parts(node.right)
-        return head + tail
-    return [node]
-
-
-def _format_expr(node: Workflow, chain_label_ok: bool = False) -> str:
-    if isinstance(node, Seq) and (node.label is None or chain_label_ok):
-        parts: list[Workflow] = []
-
-        def chain(n: Workflow) -> None:
-            if isinstance(n, Seq) and n.label is None:
-                chain(n.left)
-                chain(n.right)
-            else:
-                parts.append(n)
-
-        chain(node.left)
-        chain(node.right)
-        return " -> ".join(_format_term(p) for p in parts)
+def _format_expr(node: Workflow) -> str:
+    if isinstance(node, Seq) and node.label is None:
+        return " -> ".join(map(_format_term, node.parts))
     return _format_term(node)
 
 
 def format_document(ew: ExtendedWorkflow, name: str = "main") -> str:
-    """Canonical source text: normalized workflow, sorted constraints.
+    """Canonical source text: the normalized workflow, then the constraints
+    in the order of the network's variables.
 
     Parsing the output yields the same extended workflow back (up to
     normalization), which the round-trip tests rely on.
@@ -445,6 +431,9 @@ def format_document(ew: ExtendedWorkflow, name: str = "main") -> str:
 # ---------------------------------------------------------------------------
 # DOT export
 
+_BAR = 'shape=box, style=filled, fillcolor=black, label="", height=0.08'
+_DIAMOND = 'shape=diamond, label=""'
+
 
 def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
     """Activity-diagram style DOT text.
@@ -463,51 +452,55 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
     def walk(node: Workflow, path: Path) -> tuple[str, str]:
-        idx = next(counter)
+        # Ids are numbered like the nodes of the binary expansion in
+        # preorder: a node with k parts takes k - 1 of them, a sequence all
+        # before its first part, a group one before each part but the last.
         match node:
             case Atomic(atom_name, _, _):
-                nid = f"a{idx}"
+                nid = f"a{next(counter)}"
                 nodes.append(f'{nid} [label="{esc(atom_name)}", shape=box, style=rounded];')
                 anchor[path] = nid
                 return nid, nid
-            case Seq(left, right, _):
-                l_in, l_out = walk(left, path + ("L",))
-                r_in, r_out = walk(right, path + ("R",))
-                edges.append(f"{l_out} -> {r_in};")
-                anchor[path] = l_in
-                return l_in, r_out
-            case Conj(left, right, _):
-                fork = f"fork{idx}"
-                join = f"join{idx}"
-                nodes.append(f'{fork} [shape=box, style=filled, fillcolor=black, label="", height=0.08];')
-                nodes.append(f'{join} [shape=box, style=filled, fillcolor=black, label="", height=0.08];')
-                l_in, l_out = walk(left, path + ("L",))
-                r_in, r_out = walk(right, path + ("R",))
-                edges.append(f"{fork} -> {l_in};")
-                edges.append(f"{fork} -> {r_in};")
-                edges.append(f"{l_out} -> {join};")
-                edges.append(f"{r_out} -> {join};")
-                anchor[path] = fork
-                return fork, join
-            case Disj(left, right, _):
-                choice = f"choice{idx}"
-                merge = f"merge{idx}"
-                nodes.append(f'{choice} [shape=diamond, label=""];')
-                nodes.append(f'{merge} [shape=diamond, label=""];')
-                l_in, l_out = walk(left, path + ("L",))
-                r_in, r_out = walk(right, path + ("R",))
-                edges.append(f"{choice} -> {l_in};")
-                edges.append(f"{choice} -> {r_in};")
-                edges.append(f"{l_out} -> {merge};")
-                edges.append(f"{r_out} -> {merge};")
-                anchor[path] = choice
-                return choice, merge
+            case Seq(parts):
+                for _ in parts[1:]:
+                    next(counter)
+                first_in, last_out = walk(parts[0], path + (0,))
+                for step, part in enumerate(parts[1:], 1):
+                    part_in, part_out = walk(part, path + (step,))
+                    edges.append(f"{last_out} -> {part_in};")
+                    last_out = part_out
+                anchor[path] = first_in
+                return first_in, last_out
+            case Conj(parts) | Disj(parts):
+                split, merge, style = (
+                    ("fork", "join", _BAR) if isinstance(node, Conj) else ("choice", "merge", _DIAMOND)
+                )
+                pairs = []
+                ends = []
+                for step, part in enumerate(parts[:-1]):
+                    idx = next(counter)
+                    pairs.append((f"{split}{idx}", f"{merge}{idx}"))
+                    nodes.append(f"{split}{idx} [{style}];")
+                    nodes.append(f"{merge}{idx} [{style}];")
+                    ends.append(walk(part, path + (step,)))
+                # the innermost pair joins the last two parts; each outer
+                # pair joins its own part and the pair inside it
+                inner = walk(parts[-1], path + (len(parts) - 1,))
+                for (s_id, m_id), (p_in, p_out) in zip(reversed(pairs), reversed(ends)):
+                    edges.append(f"{s_id} -> {p_in};")
+                    edges.append(f"{s_id} -> {inner[0]};")
+                    edges.append(f"{p_out} -> {m_id};")
+                    edges.append(f"{inner[1]} -> {m_id};")
+                    inner = (s_id, m_id)
+                anchor[path] = inner[0]
+                return inner
             case Loop(body, _):
+                idx = next(counter)
                 loop_in = f"loopin{idx}"
                 loop_out = f"loopout{idx}"
-                nodes.append(f'{loop_in} [shape=diamond, label=""];')
-                nodes.append(f'{loop_out} [shape=diamond, label=""];')
-                b_in, b_out = walk(body, path + ("B",))
+                nodes.append(f"{loop_in} [{_DIAMOND}];")
+                nodes.append(f"{loop_out} [{_DIAMOND}];")
+                b_in, b_out = walk(body, path + (0,))
                 edges.append(f"{loop_in} -> {b_in};")
                 edges.append(f"{b_out} -> {loop_out};")
                 edges.append(f"{loop_out} -> {loop_in};")

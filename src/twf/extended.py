@@ -21,17 +21,18 @@ from .semantics import Model, find_model
 from .workflow import (
     Atomic,
     Conj,
-    Disj,
     Loop,
     Path,
     Seq,
     SubsumptionVerdict,
     Workflow,
+    children,
     iter_nodes,
     node_at,
     normalize,
     relabel,
     subsumes_syntactic,
+    with_children,
 )
 
 SEQUENCE_RELATIONS = RelationSet.of(Relation.BEFORE, Relation.MEETS)
@@ -92,8 +93,15 @@ def variable_paths(ew: ExtendedWorkflow) -> dict[str, Path]:
     return {var: resolve_key(ew.workflow, key) for key, var in ew.r_map.items()}
 
 
-def _loop_context(path: Path) -> tuple[Path, ...]:
-    return tuple(path[:d] for d in range(len(path)) if path[d] == "B")
+def _loop_context(w: Workflow, path: Path) -> tuple[Path, ...]:
+    """Paths of the loops whose bodies contain the node at ``path``."""
+    out = []
+    node = w
+    for depth, step in enumerate(path):
+        if isinstance(node, Loop):
+            out.append(path[:depth])
+        node = children(node)[step]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,7 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
                 )
             continue
         pi, pj = var_paths[vi], var_paths[vj]
-        if _loop_context(pi) != _loop_context(pj):
+        if _loop_context(ew.workflow, pi) != _loop_context(ew.workflow, pj):
             violations.append(
                 Violation(
                     "loop-boundary",
@@ -219,8 +227,8 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
     """The equivalent extended workflow without any sequence node.
 
     Every sequence becomes a conjunction plus one {before, meets}
-    constraint between the end anchor of its left part and the start
-    anchor of its right part.  Sequences delegate their anchors to their
+    constraint between the end anchor of each part and the start anchor
+    of the next.  Sequences delegate their anchors to their
     parts, so chains produce constraints between the chained elements;
     conjunctions, disjunctions and loops anchor at their own node and get
     a variable (and a minted label if they have none).  The result is
@@ -233,23 +241,17 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
         match node:
             case Atomic():
                 return node, path, path
-            case Seq(left, right, label):
-                new_left, left_start, left_end = go(left, path + ("L",))
-                new_right, right_start, right_end = go(right, path + ("R",))
-                pairs.append((left_end, right_start))
-                return Conj(new_left, new_right, label), left_start, right_end
-            case Conj(left, right, label):
-                new_left, _, _ = go(left, path + ("L",))
-                new_right, _, _ = go(right, path + ("R",))
-                return Conj(new_left, new_right, label), path, path
-            case Disj(left, right, label):
-                new_left, _, _ = go(left, path + ("L",))
-                new_right, _, _ = go(right, path + ("R",))
-                return Disj(new_left, new_right, label), path, path
-            case Loop(body, label):
-                new_body, _, _ = go(body, path + ("B",))
-                return Loop(new_body, label), path, path
-        raise TypeError(f"not a workflow node: {node!r}")
+            case Seq(parts, label):
+                new_part, start, end = go(parts[0], path + (0,))
+                new_parts = [new_part]
+                for step, part in enumerate(parts[1:], 1):
+                    new_part, part_start, part_end = go(part, path + (step,))
+                    pairs.append((end, part_start))
+                    new_parts.append(new_part)
+                    end = part_end
+                return Conj(tuple(new_parts), label), start, end
+        kids = [go(child, path + (step,))[0] for step, child in enumerate(children(node))]
+        return with_children(node, kids), path, path
 
     tree, _, _ = go(ew.workflow, ())
 

@@ -12,8 +12,8 @@ qualitative constraints, so the search enumerates weak orders of the
 endpoints (orders with ties), maps order layers to the integer rationals
 0, 1, 2, ... and checks the candidate:
 
-  * every sequence node must finish its left part no later than the right
-    part starts;
+  * each part of a sequence node must finish no later than the next part
+    starts;
   * every network constraint whose two ends are executed must hold between
     the convex hulls of the ends' execution times; constraints touching an
     unexecuted branch of a choice are vacuously satisfied;
@@ -82,14 +82,13 @@ class Model:
         return [(a, self.assignment[a.occ]) for a in self.instance.atoms]
 
 
-def enumerate_instances(w: Workflow, unroll_bound: int) -> tuple[list[ResolvedInstance], bool]:
-    """All resolved instances up to the loop bound, plus a boundedness flag."""
-    enum = resolutions(w, unroll_bound)
+def enumerate_instances(w: Workflow, unroll_bound: int) -> list[ResolvedInstance]:
+    """All resolved instances up to the loop bound."""
     instances = []
-    for resolution, _ in enum:
+    for resolution, _ in resolutions(w, unroll_bound):
         tree, atoms = resolve_traced(w, resolution)
         instances.append(ResolvedInstance(w, resolution, tree, atoms))
-    return instances, enum.bounded
+    return instances
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +116,7 @@ def is_executed(instance: ResolvedInstance, node: Path) -> bool:
 def enclosing_loops(instance: ResolvedInstance, node: Path) -> tuple[Path, ...]:
     """Paths of the loop nodes whose bodies (strictly) contain ``node``."""
     unrolls = instance.resolution.unrolls
-    return tuple(
-        node[:depth]
-        for depth, step in enumerate(node)
-        if step == "B" and node[:depth] in unrolls
-    )
+    return tuple(node[:depth] for depth in range(len(node)) if node[:depth] in unrolls)
 
 
 def _atoms_under(
@@ -169,11 +164,17 @@ def _subtree_occs(node: Workflow) -> list[int]:
 
 
 def _sequence_conditions(resolved: Workflow) -> list[tuple[list[int], list[int]]]:
-    """(left occs, right occs) for every sequence node of a resolved tree."""
+    """(earlier occs, later occs) for every two consecutive parts of every
+    sequence node of a resolved tree.
+
+    Intervals have positive length, so these imply the ordering of every
+    two parts further apart.
+    """
     out = []
     for _, node in iter_nodes(resolved):
         if isinstance(node, Seq):
-            out.append((_subtree_occs(node.left), _subtree_occs(node.right)))
+            occs = [_subtree_occs(part) for part in node.parts]
+            out.extend(zip(occs, occs[1:]))
     return out
 
 
@@ -511,7 +512,7 @@ def find_model(
     if unroll_bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {unroll_bound}")
     var_paths = var_paths or {}
-    instances, _ = enumerate_instances(w, unroll_bound)
+    instances = enumerate_instances(w, unroll_bound)
     skipped = False
     for instance in instances:
         if len(instance.atoms) > atom_budget:

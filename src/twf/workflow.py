@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -25,24 +25,27 @@ class Atomic:
 
 
 @dataclass(frozen=True)
-class Seq:
-    left: "Workflow"
-    right: "Workflow"
+class Nary:
+    """A sequence, conjunction or disjunction of two or more parts."""
+
+    parts: tuple["Workflow", ...]
     label: Optional[str] = None
 
-
-@dataclass(frozen=True)
-class Conj:
-    left: "Workflow"
-    right: "Workflow"
-    label: Optional[str] = None
+    def __post_init__(self) -> None:
+        if len(self.parts) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two parts")
 
 
-@dataclass(frozen=True)
-class Disj:
-    left: "Workflow"
-    right: "Workflow"
-    label: Optional[str] = None
+class Seq(Nary):
+    """The parts run one after the other."""
+
+
+class Conj(Nary):
+    """The parts all run, in parallel (split/join)."""
+
+
+class Disj(Nary):
+    """Exactly one part runs (exclusive choice)."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,10 @@ class Loop:
 
 Workflow = Union[Atomic, Seq, Conj, Disj, Loop]
 
-# A path addresses a node: "L"/"R" step into a binary node, "B" into a loop.
-Path = tuple[str, ...]
+# A path addresses a node: each step indexes the children of a node, that
+# is the parts of a sequence, conjunction or disjunction, or the body (0)
+# of a loop.
+Path = tuple[int, ...]
 
 
 class PathError(ValueError):
@@ -77,33 +82,24 @@ def atom(name: str, label: Optional[str] = None) -> Atomic:
 
 
 def seq(*parts: Workflow) -> Workflow:
-    """Left-nested sequence of two or more workflows."""
+    """Sequence of the parts; a single part is returned as it is."""
     if not parts:
         raise ValueError("seq needs at least one part")
-    out = parts[0]
-    for part in parts[1:]:
-        out = Seq(out, part)
-    return out
+    return parts[0] if len(parts) == 1 else Seq(parts)
 
 
 def conj(*parts: Workflow) -> Workflow:
-    """Right-nested conjunction (matches n-ary desugaring)."""
+    """Conjunction of the parts; a single part is returned as it is."""
     if not parts:
         raise ValueError("conj needs at least one part")
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Conj(part, out)
-    return out
+    return parts[0] if len(parts) == 1 else Conj(parts)
 
 
 def disj(*parts: Workflow) -> Workflow:
-    """Right-nested disjunction (matches n-ary desugaring)."""
+    """Disjunction of the parts; a single part is returned as it is."""
     if not parts:
         raise ValueError("disj needs at least one part")
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Disj(part, out)
-    return out
+    return parts[0] if len(parts) == 1 else Disj(parts)
 
 
 def loop(body: Workflow, label: Optional[str] = None) -> Loop:
@@ -114,33 +110,39 @@ def loop(body: Workflow, label: Optional[str] = None) -> Loop:
 # Traversal
 
 
-def children(node: Workflow) -> tuple[tuple[str, Workflow], ...]:
+def children(node: Workflow) -> tuple[Workflow, ...]:
+    """The direct subtrees of a node; a path step indexes into them."""
     match node:
         case Atomic():
             return ()
-        case Seq(left, right) | Conj(left, right) | Disj(left, right):
-            return (("L", left), ("R", right))
+        case Nary(parts):
+            return parts
         case Loop(body):
-            return (("B", body),)
+            return (body,)
     raise TypeError(f"not a workflow node: {node!r}")
+
+
+def with_children(node: Workflow, kids: Sequence[Workflow]) -> Workflow:
+    """The node with new direct subtrees; its kind and label are kept."""
+    if isinstance(node, Loop):
+        return Loop(kids[0], node.label)
+    return type(node)(tuple(kids), node.label)
 
 
 def iter_nodes(w: Workflow, prefix: Path = ()) -> Iterator[tuple[Path, Workflow]]:
     """Preorder traversal yielding (path, node) pairs."""
     yield prefix, w
-    for step, child in children(w):
+    for step, child in enumerate(children(w)):
         yield from iter_nodes(child, prefix + (step,))
 
 
 def node_at(w: Workflow, path: Path) -> Workflow:
     node = w
     for step in path:
-        for s, child in children(node):
-            if s == step:
-                node = child
-                break
-        else:
+        kids = children(node)
+        if not (isinstance(step, int) and 0 <= step < len(kids)):
             raise PathError(f"no node at path {path!r}")
+        node = kids[step]
     return node
 
 
@@ -163,20 +165,15 @@ def labels(w: Workflow) -> dict[str, Path]:
 # Occurrence renaming, subworkflows, unrolling
 
 
+def _renumber(node: Workflow, counter: Iterator[int]) -> Workflow:
+    if isinstance(node, Atomic):
+        return Atomic(node.name, next(counter), node.label)
+    return with_children(node, [_renumber(child, counter) for child in children(node)])
+
+
 def rename_occurrences(w: Workflow) -> Workflow:
     """Structurally identical tree with fresh occurrence ids on every atom."""
-    match w:
-        case Atomic(name, _, label):
-            return Atomic(name, fresh_occ(), label)
-        case Seq(left, right, label):
-            return Seq(rename_occurrences(left), rename_occurrences(right), label)
-        case Conj(left, right, label):
-            return Conj(rename_occurrences(left), rename_occurrences(right), label)
-        case Disj(left, right, label):
-            return Disj(rename_occurrences(left), rename_occurrences(right), label)
-        case Loop(body, label):
-            return Loop(rename_occurrences(body), label)
-    raise TypeError(f"not a workflow node: {w!r}")
+    return _renumber(w, _occ_counter)
 
 
 def subworkflows(w: Workflow) -> frozenset[Workflow]:
@@ -186,24 +183,14 @@ def subworkflows(w: Workflow) -> frozenset[Workflow]:
 
 def proper_subworkflows(w: Workflow) -> frozenset[Workflow]:
     """The set of subworkflows strictly below w, computed structurally."""
-    match w:
-        case Atomic():
-            return frozenset()
-        case Seq(left, right) | Conj(left, right) | Disj(left, right):
-            return subworkflows(left) | subworkflows(right)
-        case Loop(body):
-            return subworkflows(body)
-    raise TypeError(f"not a workflow node: {w!r}")
+    return frozenset().union(*map(subworkflows, children(w)))
 
 
 def unroll(w: Workflow, n: int) -> Workflow:
-    """Left-nested sequence of n freshly renamed copies of w."""
+    """Sequence of n freshly renamed copies of w."""
     if n < 1:
         raise ValueError(f"unroll count must be >= 1, got {n}")
-    out = rename_occurrences(w)
-    for _ in range(n - 1):
-        out = Seq(out, rename_occurrences(w))
-    return out
+    return seq(*(rename_occurrences(w) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +201,13 @@ def unroll(w: Workflow, n: int) -> Workflow:
 class Resolution:
     """One way of executing a workflow's choice points.
 
-    ``choices`` assigns "L" or "R" to every disjunction node (by path);
+    ``choices`` assigns a branch index to every disjunction node (by path);
     ``unrolls`` assigns an iteration count n >= 1 to every loop node.
     Choice points nested inside loop bodies are resolved uniformly across
     iterations.
     """
 
-    choices: Mapping[Path, str]
+    choices: Mapping[Path, int]
     unrolls: Mapping[Path, int]
 
 
@@ -238,24 +225,6 @@ class TracedAtom:
     iterations: tuple[tuple[Path, int], ...]
 
 
-@dataclass(frozen=True)
-class ResolutionEnumeration:
-    """All resolutions of a workflow up to a loop bound.
-
-    ``bounded`` is True when the workflow contains loops, i.e. when further
-    resolutions exist beyond the bound and the enumeration is incomplete.
-    """
-
-    entries: tuple[tuple[Resolution, Workflow], ...]
-    bounded: bool
-
-    def __iter__(self) -> Iterator[tuple[Resolution, Workflow]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def resolve_traced(w: Workflow, resolution: Resolution) -> tuple[Workflow, tuple[TracedAtom, ...]]:
     """Resolve every choice point of w, tracing atoms back to the source.
 
@@ -270,20 +239,16 @@ def resolve_traced(w: Workflow, resolution: Resolution) -> tuple[Workflow, tuple
                 occ = fresh_occ()
                 traced.append(TracedAtom(occ, name, path, iters))
                 return Atomic(name, occ, label)
-            case Seq(left, right, label):
-                return Seq(go(left, path + ("L",), iters), go(right, path + ("R",), iters), label)
-            case Conj(left, right, label):
-                return Conj(go(left, path + ("L",), iters), go(right, path + ("R",), iters), label)
-            case Disj(left, right, _):
+            case Disj(parts):
                 step = resolution.choices[path]
-                chosen = left if step == "L" else right
-                return go(chosen, path + (step,), iters)
-            case Loop(body, _):
+                return go(parts[step], path + (step,), iters)
+            case Loop(body):
                 count = resolution.unrolls[path]
-                out = go(body, path + ("B",), iters + ((path, 0),))
-                for i in range(1, count):
-                    out = Seq(out, go(body, path + ("B",), iters + ((path, i),)))
-                return out
+                return seq(*(go(body, path + (0,), iters + ((path, i),)) for i in range(count)))
+            case Nary(parts, label):
+                return type(node)(
+                    tuple(go(part, path + (i,), iters) for i, part in enumerate(parts)), label
+                )
         raise TypeError(f"not a workflow node: {node!r}")
 
     return go(w, (), ()), tuple(traced)
@@ -295,97 +260,92 @@ def resolve(w: Workflow, resolution: Resolution) -> Workflow:
     return tree
 
 
-def resolutions(w: Workflow, bound: int) -> ResolutionEnumeration:
-    """Enumerate every combination of branch choices and loop counts in 1..bound."""
+def resolutions(w: Workflow, bound: int) -> tuple[tuple[Resolution, Workflow], ...]:
+    """Every combination of branch choices and loop counts in 1..bound,
+    each with its resolved tree."""
     if bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {bound}")
-    disj_paths = [p for p, n in iter_nodes(w) if isinstance(n, Disj)]
+    disjs = [(p, n) for p, n in iter_nodes(w) if isinstance(n, Disj)]
     loop_paths = [p for p, n in iter_nodes(w) if isinstance(n, Loop)]
+    options = [range(len(n.parts)) for _, n in disjs]
+    options += [range(1, bound + 1)] * len(loop_paths)
     entries = []
-    options = [("L", "R")] * len(disj_paths) + [tuple(range(1, bound + 1))] * len(loop_paths)
     for combo in itertools.product(*options):
-        choices = dict(zip(disj_paths, combo[: len(disj_paths)]))
-        unrolls = dict(zip(loop_paths, combo[len(disj_paths):]))
+        choices = {p: step for (p, _), step in zip(disjs, combo)}
+        unrolls = dict(zip(loop_paths, combo[len(disjs):]))
         resolution = Resolution(choices, unrolls)
         entries.append((resolution, resolve(w, resolution)))
-    return ResolutionEnumeration(tuple(entries), bounded=bool(loop_paths))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
 # Normal form
 
+_TAGS = {Seq: "s", Conj: "c", Disj: "d"}
 
-def fingerprint(node: Workflow):
-    """Structural identity ignoring occurrence ids; doubles as sort key."""
+
+def fingerprint(node: Workflow) -> tuple[str, ...]:
+    """Structural identity ignoring occurrence ids; doubles as sort key.
+
+    The key is a flat tuple of tokens, so comparing two keys never
+    recurses however deep the trees are.  An n-ary node spells out its
+    binary expansion in preorder (a sequence nests to the left, a group to
+    the right); that order decides where parts land in every normal form.
+    """
     match node:
         case Atomic(name, _, label):
             return ("a", name, label or "")
-        case Seq(left, right, label):
-            return ("s", fingerprint(left), fingerprint(right), label or "")
-        case Conj(left, right, label):
-            return ("c", fingerprint(left), fingerprint(right), label or "")
-        case Disj(left, right, label):
-            return ("d", fingerprint(left), fingerprint(right), label or "")
         case Loop(body, label):
-            return ("l", fingerprint(body), label or "")
+            return ("l", *fingerprint(body), label or "")
+        case Nary(parts, label):
+            tag = _TAGS[type(node)]
+            keys = [fingerprint(part) for part in parts]
+            out: list[str] = []
+            if isinstance(node, Seq):
+                # like ("s", ("s", k0, k1, ""), k2, label)
+                out += [tag] * (len(keys) - 1)
+                out += keys[0]
+                for key in keys[1:-1]:
+                    out += (*key, "")
+                out += keys[-1]
+            else:
+                # like ("c", k0, ("c", k1, k2, ""), label)
+                for key in keys[:-1]:
+                    out += (tag, *key)
+                out += keys[-1]
+                out += [""] * (len(keys) - 2)
+            out.append(label or "")
+            return tuple(out)
     raise TypeError(f"not a workflow node: {node!r}")
-
-
-def _seq_chain(node: Workflow) -> list[Workflow]:
-    # Collect a ->-chain through unlabeled sequence nodes.
-    if isinstance(node, Seq) and node.label is None:
-        return _seq_chain(node.left) + _seq_chain(node.right)
-    return [node]
-
-
-def _assoc_elements(node: Workflow, kind: type) -> list[Workflow]:
-    # Flatten through unlabeled nodes of the same associative constructor.
-    if isinstance(node, kind) and node.label is None:
-        return _assoc_elements(node.left, kind) + _assoc_elements(node.right, kind)
-    return [node]
-
-
-def _rebuild_right(parts: list[Workflow], kind: type, label: Optional[str]) -> Workflow:
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = kind(part, out)
-    if label is not None:
-        out = replace(out, label=label)
-    return out
 
 
 def _norm(node: Workflow) -> Workflow:
     match node:
         case Atomic():
             return node
-        case Seq(left, right, label):
-            parts = _seq_chain(Seq(_norm(left), _norm(right)))
-            out = parts[0]
-            for part in parts[1:]:
-                out = Seq(out, part)
-            return replace(out, label=label) if label is not None else out
-        case Conj(left, right, label):
-            parts = _assoc_elements(Conj(_norm(left), _norm(right)), Conj)
-            parts.sort(key=fingerprint)
-            return _rebuild_right(parts, Conj, label)
-        case Disj(left, right, label):
-            parts = _assoc_elements(Disj(_norm(left), _norm(right)), Disj)
-            seen = set()
-            unique = []
-            for part in parts:
-                key = fingerprint(part)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(part)
-            unique.sort(key=fingerprint)
-            if len(unique) == 1:
-                single = unique[0]
-                if label is None:
-                    return single
-                if single.label is None:
-                    return replace(single, label=label)
-                return Disj(single, single, label)
-            return _rebuild_right(unique, Disj, label)
+        case Nary(parts, label):
+            kind = type(node)
+            flat: list[Workflow] = []
+            for part in map(_norm, parts):
+                if type(part) is kind and part.label is None:
+                    flat += part.parts
+                else:
+                    flat.append(part)
+            if kind is Conj:
+                flat.sort(key=fingerprint)
+            elif kind is Disj:
+                unique: dict[tuple[str, ...], Workflow] = {}
+                for part in flat:
+                    unique.setdefault(fingerprint(part), part)
+                flat = [unique[key] for key in sorted(unique)]
+                if len(flat) == 1:
+                    single = flat[0]
+                    if label is None:
+                        return single
+                    if single.label is None:
+                        return replace(single, label=label)
+                    flat = [single, single]
+            return kind(tuple(flat), label)
         case Loop(body, label):
             inner = _norm(body)
             while isinstance(inner, Loop) and (inner.label is None or label is None):
@@ -397,30 +357,15 @@ def _norm(node: Workflow) -> Workflow:
     raise TypeError(f"not a workflow node: {node!r}")
 
 
-def _renumber(node: Workflow, counter: Iterator[int]) -> Workflow:
-    match node:
-        case Atomic(name, _, label):
-            return Atomic(name, next(counter), label)
-        case Seq(left, right, label):
-            return Seq(_renumber(left, counter), _renumber(right, counter), label)
-        case Conj(left, right, label):
-            return Conj(_renumber(left, counter), _renumber(right, counter), label)
-        case Disj(left, right, label):
-            return Disj(_renumber(left, counter), _renumber(right, counter), label)
-        case Loop(body, label):
-            return Loop(_renumber(body, counter), label)
-    raise TypeError(f"not a workflow node: {node!r}")
-
-
 def normalize(w: Workflow) -> Workflow:
     """Canonical form under the workflow equivalences.
 
-    Nested conjunctions flatten to a sorted multiset, nested disjunctions
-    to a sorted duplicate-free set, nested loops collapse, and sequences
-    re-associate to a left-nested chain.  Occurrence ids are renumbered in
-    traversal order so that equal normal forms compare equal structurally.
-    Labeled nodes are kept as units (they are referenced by constraints),
-    so flattening never erases a labeled node.
+    Unlabeled sequences inside a sequence splice in their parts, nested
+    conjunctions flatten to a sorted multiset, nested disjunctions to a
+    sorted duplicate-free set, and nested loops collapse.  Occurrence ids
+    are renumbered in traversal order so that equal normal forms compare
+    equal structurally.  Labeled nodes are kept as units (they are
+    referenced by constraints), so flattening never erases a labeled node.
     """
     return _renumber(_norm(w), itertools.count(1))
 
@@ -429,56 +374,23 @@ def normalize(w: Workflow) -> Workflow:
 # Substitution
 
 
+def _replace_at(w: Workflow, path: Path, new: Workflow) -> Workflow:
+    if not path:
+        return new
+    kids = list(children(w))
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return with_children(w, kids)
+
+
 def substitute(w: Workflow, at: Path, replacement: Workflow) -> Workflow:
     """Replace the node addressed by ``at``; the replacement gets fresh occurrence ids."""
-    fresh = rename_occurrences(replacement)
-
-    def go(node: Workflow, path: Path) -> Workflow:
-        if not path:
-            return fresh
-        step, rest = path[0], path[1:]
-        match node, step:
-            case (Seq(left, right, label), "L"):
-                return Seq(go(left, rest), right, label)
-            case (Seq(left, right, label), "R"):
-                return Seq(left, go(right, rest), label)
-            case (Conj(left, right, label), "L"):
-                return Conj(go(left, rest), right, label)
-            case (Conj(left, right, label), "R"):
-                return Conj(left, go(right, rest), label)
-            case (Disj(left, right, label), "L"):
-                return Disj(go(left, rest), right, label)
-            case (Disj(left, right, label), "R"):
-                return Disj(left, go(right, rest), label)
-            case (Loop(body, label), "B"):
-                return Loop(go(body, rest), label)
-        raise PathError(f"no node at path {at!r}")
-
-    return go(w, at)
+    node_at(w, at)
+    return _replace_at(w, at, rename_occurrences(replacement))
 
 
 def relabel(w: Workflow, at: Path, label: Optional[str]) -> Workflow:
     """Replace the label of the node addressed by ``at`` (occurrences kept)."""
-    target = node_at(w, at)
-    relabeled = replace(target, label=label)
-
-    def go(node: Workflow, path: Path) -> Workflow:
-        if not path:
-            return relabeled
-        step, rest = path[0], path[1:]
-        for s, child in children(node):
-            if s == step:
-                new_child = go(child, rest)
-                match node, step:
-                    case (Loop(_, lb), "B"):
-                        return Loop(new_child, lb)
-                    case (_, "L"):
-                        return type(node)(new_child, node.right, node.label)
-                    case (_, "R"):
-                        return type(node)(node.left, new_child, node.label)
-        raise PathError(f"no node at path {at!r}")
-
-    return go(w, at)
+    return _replace_at(w, at, replace(node_at(w, at), label=label))
 
 
 # ---------------------------------------------------------------------------
@@ -496,70 +408,68 @@ class SubsumptionVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _rebuild_chain(parts: list[Workflow]) -> Workflow:
-    out = parts[0]
-    for part in parts[1:]:
-        out = Seq(out, part)
-    return out
+def _subset_masks(n: int) -> Iterator[int]:
+    """Bit masks of the proper subsets (two parts or more) a group of n
+    parts may wrap in a loop.
+
+    A group of up to six parts offers every such subset.  A wider one
+    offers the subsets of its last six parts and its suffixes: n + 50
+    candidates instead of 2**n.
+    """
+    if n <= 6:
+        masks = range(1, 1 << n)
+    else:
+        masks = [m << (n - 6) for m in range(1, 64)]
+        masks += [((1 << size) - 1) << (n - size) for size in range(7, n)]
+    return (m for m in masks if 2 <= m.bit_count() < n)
 
 
 def _generalizations(w: Workflow) -> Iterator[Workflow]:
     """One-step rewrites of w that only generalize (or preserve) its executions.
 
-    The rules are applied modulo the normalization equivalences, so they
-    range over contiguous segments of sequence chains and over subsets of
-    flattened conjunction/disjunction elements, not just over nodes of the
-    canonical tree shape:
+    w is normalized, so the rules range over contiguous segments of a
+    sequence's parts and over subsets of a conjunction's or disjunction's
+    parts, not just over whole nodes:
 
       * a sequence grouping may forget its ordering and become a conjunction;
       * a loop followed by one more copy of its body collapses into the loop;
       * any grouping may be wrapped in a loop.
     """
 
-    def splice(parts, i, j, replacement, label):
-        out = _rebuild_chain(parts[:i] + [replacement] + parts[j + 1 :])
-        return replace(out, label=label) if label is not None else out
-
     def rewrites_at(node: Workflow) -> Iterator[Workflow]:
         yield Loop(node)
         match node:
-            case Seq(_, _, label):
-                parts = _seq_chain(replace(node, label=None))
+            case Seq(parts, label):
                 n = len(parts)
+
+                def splice(i: int, j: int, replacement: Workflow) -> Workflow:
+                    rest = parts[:i] + (replacement,) + parts[j + 1 :]
+                    if len(rest) > 1:
+                        return Seq(rest, label)
+                    return replacement if label is None else replace(replacement, label=label)
+
                 for i in range(n):
                     for j in range(i + 1, n):
                         # one sequence grouping over parts[i..j] turns into
                         # a conjunction, split anywhere inside
                         for k in range(i, j):
-                            grouped = Conj(
-                                _rebuild_chain(parts[i : k + 1]),
-                                _rebuild_chain(parts[k + 1 : j + 1]),
-                            )
-                            yield splice(parts, i, j, grouped, label)
+                            grouped = Conj((seq(*parts[i : k + 1]), seq(*parts[k + 1 : j + 1])))
+                            yield splice(i, j, grouped)
                         # a loop absorbs a following copy of its body
                         head = parts[i]
                         if isinstance(head, Loop) and fingerprint(
-                            normalize(_rebuild_chain(parts[i + 1 : j + 1]))
+                            normalize(seq(*parts[i + 1 : j + 1]))
                         ) == fingerprint(normalize(head.body)):
-                            yield splice(parts, i, j, head, label)
+                            yield splice(i, j, head)
                         # any inner grouping may be wrapped in a loop
                         if (i, j) != (0, n - 1):
-                            yield splice(
-                                parts, i, j, Loop(_rebuild_chain(parts[i : j + 1])), label
-                            )
-            case Conj(_, _, label) | Disj(_, _, label):
+                            yield splice(i, j, Loop(seq(*parts[i : j + 1])))
+            case Conj(parts, label) | Disj(parts, label):
                 kind = type(node)
-                parts = _assoc_elements(replace(node, label=None), kind)
-                n = len(parts)
-                if 2 < n <= 6:
-                    for mask in range(1, 1 << n):
-                        size = mask.bit_count()
-                        if size < 2 or size >= n:
-                            continue
-                        inside = [parts[x] for x in range(n) if mask >> x & 1]
-                        outside = [parts[x] for x in range(n) if not mask >> x & 1]
-                        wrapped = Loop(_rebuild_right(inside, kind, None))
-                        yield _rebuild_right(outside + [wrapped], kind, label)
+                for mask in _subset_masks(len(parts)):
+                    inside = tuple(p for x, p in enumerate(parts) if mask >> x & 1)
+                    outside = tuple(p for x, p in enumerate(parts) if not mask >> x & 1)
+                    yield kind(outside + (Loop(kind(inside)),), label)
 
     for path, node in iter_nodes(w):
         for rewritten in rewrites_at(node):

@@ -59,10 +59,19 @@ def rand_workflow(
             return left, budget
         right, budget = build(depth - 1, budget)
         ctor = {"seq": Seq, "conj": Conj, "disj": Disj}[kind]
-        return ctor(left, right), budget
+        return ctor((left, right)), budget
 
     tree, _ = build(max_depth, max_leaves)
     return rename_occurrences(tree)
+
+
+def loop_context(tree: Workflow, path) -> tuple:
+    """Paths of the loops whose bodies contain the node at ``path``."""
+    return tuple(
+        p
+        for p, n in iter_nodes(tree)
+        if isinstance(n, Loop) and len(p) < len(path) and path[: len(p)] == p
+    )
 
 
 def rand_extended(
@@ -86,13 +95,10 @@ def rand_extended(
         if len(loops) <= max_loops:
             break
 
-    def loop_context(path):
-        return tuple(path[:d] for d in range(len(path)) if path[d] == "B")
-
     atoms = [(p, n) for p, n in iter_nodes(tree) if isinstance(n, Atomic)]
     by_context: dict[tuple, list] = {}
     for path, node in atoms:
-        by_context.setdefault(loop_context(path), []).append(node.name)
+        by_context.setdefault(loop_context(tree, path), []).append(node.name)
 
     pairs = []
     for group in by_context.values():
@@ -130,19 +136,16 @@ def rand_regular_extended(
 
     def chain() -> Workflow:
         parts = [Atomic(next(pool)) for _ in range(rng.randint(1, max_chain))]
-        out = parts[0]
-        for part in parts[1:]:
-            out = Seq(out, part)
-        return out
+        return Seq(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def element(depth: int) -> Workflow:
         roll = rng.random()
         if depth == 0 or roll < 0.5:
             return chain()
         if roll < 0.7:
-            return Conj(element(depth - 1), element(depth - 1))
+            return Conj((element(depth - 1), element(depth - 1)))
         if roll < 0.85:
-            return Disj(element(depth - 1), element(depth - 1))
+            return Disj((element(depth - 1), element(depth - 1)))
         return Loop(element(depth - 1))
 
     while True:
@@ -153,13 +156,10 @@ def rand_regular_extended(
             continue
         break
 
-    def loop_context(path):
-        return tuple(path[:d] for d in range(len(path)) if path[d] == "B")
-
     by_context: dict[tuple, list] = {}
     for path, node in iter_nodes(tree):
         if isinstance(node, Atomic):
-            by_context.setdefault(loop_context(path), []).append(node.name)
+            by_context.setdefault(loop_context(tree, path), []).append(node.name)
     pairs = []
     for group in by_context.values():
         pairs.extend(itertools.combinations(group, 2))
@@ -219,8 +219,8 @@ def executions_included(
     matching of atom occurrences.  Executions larger than ``max_atoms``
     are skipped (bounded oracle).
     """
-    instances1, _ = enumerate_instances(w1, bound1)
-    instances2, _ = enumerate_instances(w2, bound2)
+    instances1 = enumerate_instances(w1, bound1)
+    instances2 = enumerate_instances(w2, bound2)
 
     def covered(inst1, assignment) -> bool:
         for inst2 in instances2:
@@ -238,12 +238,14 @@ def executions_included(
         occ_index = {a.occ: i for i, a in enumerate(inst1.atoms)}
         le_pairs = []
         for _, node in iter_nodes(inst1.workflow):
-            if isinstance(node, Seq):
-                lefts = [n.occ for _, n in iter_nodes(node.left) if isinstance(n, Atomic)]
-                rights = [n.occ for _, n in iter_nodes(node.right) if isinstance(n, Atomic)]
-                for lo in lefts:
-                    for ro in rights:
-                        le_pairs.append((2 * occ_index[lo] + 1, 2 * occ_index[ro]))
+            if not isinstance(node, Seq):
+                continue
+            occs = [[n.occ for _, n in iter_nodes(part) if isinstance(n, Atomic)] for part in node.parts]
+            for i, lefts in enumerate(occs):
+                for rights in occs[i + 1 :]:
+                    for lo in lefts:
+                        for ro in rights:
+                            le_pairs.append((2 * occ_index[lo] + 1, 2 * occ_index[ro]))
         for layers in weak_orders(len(inst1.atoms), le_pairs):
             assignment = {
                 a.occ: Interval(Fraction(layers[2 * i]), Fraction(layers[2 * i + 1]))
@@ -263,9 +265,9 @@ def workflow_strategy(max_leaves: int = 4, names: str = "abc") -> st.SearchStrat
     return st.recursive(
         leaves,
         lambda children: st.one_of(
-            st.builds(Seq, children, children),
-            st.builds(Conj, children, children),
-            st.builds(Disj, children, children),
+            st.builds(Seq, st.lists(children, min_size=2, max_size=3).map(tuple)),
+            st.builds(Conj, st.lists(children, min_size=2, max_size=3).map(tuple)),
+            st.builds(Disj, st.lists(children, min_size=2, max_size=3).map(tuple)),
             st.builds(Loop, children),
         ),
         max_leaves=max_leaves,

@@ -106,20 +106,15 @@ def test_criterion_4_workflow_algebra():
     with criterion(4, "normal-form equivalences and sound subsumption rules"):
         a, b, c = Atomic("alpha"), Atomic("beta"), Atomic("gamma")
         # commutativity, associativity, flattening
-        assert normalize(Conj(a, b)) == normalize(Conj(b, a))
-        assert normalize(Disj(a, b)) == normalize(Disj(b, a))
-        assert normalize(Conj(Conj(a, b), c)) == normalize(Conj(a, Conj(b, c)))
-        assert normalize(Disj(Disj(a, b), c)) == normalize(Disj(a, Disj(b, c)))
-        flat = normalize(Conj(Conj(a, b), Conj(Atomic("alpha"), c)))
-        names = []
-        node = flat
-        while isinstance(node, Conj):
-            names.append(node.left.name)
-            node = node.right
-        names.append(node.name)
+        assert normalize(Conj((a, b))) == normalize(Conj((b, a)))
+        assert normalize(Disj((a, b))) == normalize(Disj((b, a)))
+        assert normalize(Conj((Conj((a, b)), c))) == normalize(Conj((a, Conj((b, c)))))
+        assert normalize(Disj((Disj((a, b)), c))) == normalize(Disj((a, Disj((b, c)))))
+        flat = normalize(Conj((Conj((a, b)), Conj((Atomic("alpha"), c)))))
+        names = [part.name for part in flat.parts]
         assert names == ["alpha", "alpha", "beta", "gamma"]
         # idempotence
-        assert fingerprint(normalize(Disj(a, Atomic("alpha")))) == fingerprint(normalize(a))
+        assert fingerprint(normalize(Disj((a, Atomic("alpha"))))) == fingerprint(normalize(a))
         assert fingerprint(normalize(Loop(Loop(a)))) == fingerprint(normalize(Loop(a)))
 
         # subsumption rules, each confirmed by the execution oracle
@@ -127,7 +122,7 @@ def test_criterion_4_workflow_algebra():
         assert subsumes_syntactic(phi, loop(seq(atom("alpha"), atom("beta")))) is SubsumptionVerdict.HOLDS
         assert executions_included(phi, loop(seq(atom("alpha"), atom("beta"))), 1, 3)
 
-        absorbed = rename_occurrences(Seq(Loop(atom("alpha")), atom("alpha")))
+        absorbed = rename_occurrences(Seq((Loop(atom("alpha")), atom("alpha"))))
         target = rename_occurrences(loop(atom("alpha")))
         assert subsumes_syntactic(absorbed, target) is SubsumptionVerdict.HOLDS
         assert executions_included(absorbed, target, 2, 3)
@@ -143,7 +138,7 @@ def test_criterion_5_sequence_free():
         free = sequence_free(
             embed(rename_occurrences(seq(atom("alpha"), atom("beta"), atom("gamma"))))
         )
-        expected = normalize(Conj(Atomic("alpha"), Conj(Atomic("beta"), Atomic("gamma"))))
+        expected = normalize(Conj((Atomic("alpha"), Conj((Atomic("beta"), Atomic("gamma"))))))
         assert fingerprint(free.workflow) == fingerprint(expected)
         got = {(vi, vj, rels.tokens()) for vi, vj, rels in free.network.nontrivial_pairs()}
         assert got == {("alpha", "beta", "b m"), ("beta", "gamma", "b m")}

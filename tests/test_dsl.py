@@ -47,28 +47,27 @@ class TestParse:
     def test_recipe_structure(self):
         doc = parse(corpus_path("recette.twf").read_text(encoding="utf-8"))
         counts = node_census(doc.extended.workflow)
-        assert counts == {"Atomic": 5, "Seq": 2, "Conj": 1, "Disj": 1, "Loop": 0}
+        assert counts == {"Atomic": 5, "Seq": 1, "Conj": 1, "Disj": 1, "Loop": 0}
         assert doc.name == "recette"
 
     def test_arrow_is_sequence(self):
         ew = parse_extended("workflow w = a -> b")
         assert isinstance(ew.workflow, Seq)
-        assert isinstance(ew.workflow.left, Atomic)
-        assert ew.workflow.left.name == "a"
+        assert isinstance(ew.workflow.parts[0], Atomic)
+        assert ew.workflow.parts[0].name == "a"
 
-    def test_chain_is_left_associative(self):
+    def test_chain_is_one_sequence(self):
         ew = parse_extended("workflow w = a -> b -> c")
         assert isinstance(ew.workflow, Seq)
-        assert isinstance(ew.workflow.left, Seq)
-        assert isinstance(ew.workflow.right, Atomic)
+        assert [part.name for part in ew.workflow.parts] == ["a", "b", "c"]
 
     def test_nary_groups_desugar(self):
         ew = parse_extended("workflow w = and{ a ; b ; c }")
         assert isinstance(ew.workflow, Conj)
-        assert isinstance(ew.workflow.right, Conj)
+        assert len(ew.workflow.parts) == 3
         ew2 = parse_extended("workflow w = or{ a | b | c }")
         assert isinstance(ew2.workflow, Disj)
-        assert isinstance(ew2.workflow.right, Disj)
+        assert len(ew2.workflow.parts) == 3
 
     def test_occurrences_renamed_at_parse(self):
         ew = parse_extended("workflow w = a -> a")
@@ -138,7 +137,7 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("workflow w = loop")
         ew = parse_extended("workflow w = 'loop' -> b")
-        assert ew.workflow.left.name == "loop"
+        assert ew.workflow.parts[0].name == "loop"
 
     def test_comments_and_whitespace(self):
         ew = parse_extended("workflow w =  a  # trailing\n   -> b # more\n")

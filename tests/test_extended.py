@@ -56,13 +56,13 @@ def counterexample() -> ExtendedWorkflow:
 
 class TestValidate:
     def test_relation_to_the_loop_itself_is_fine(self):
-        w = rename_occurrences(Seq(atom("alpha"), Loop(atom("beta"), label="lp")))
+        w = rename_occurrences(Seq((atom("alpha"), Loop(atom("beta"), label="lp"))))
         net = Qcn.universal(("alpha", "lp")).set_constraint("alpha", "lp", B)
         ew = ExtendedWorkflow(w, net, {"alpha": "alpha", "lp": "lp"})
         assert validate(ew).ok
 
     def test_crossing_the_loop_boundary_is_reported(self):
-        w = rename_occurrences(Seq(atom("alpha"), Loop(atom("beta"))))
+        w = rename_occurrences(Seq((atom("alpha"), Loop(atom("beta")))))
         net = Qcn.universal(("alpha", "beta")).set_constraint("alpha", "beta", B)
         ew = ExtendedWorkflow(w, net, {"alpha": "alpha", "beta": "beta"})
         report = validate(ew)
@@ -73,13 +73,13 @@ class TestValidate:
         assert len(violation.paths) == 2
 
     def test_constraints_within_one_loop_are_fine(self):
-        w = rename_occurrences(Loop(Seq(atom("x"), atom("y"))))
+        w = rename_occurrences(Loop(Seq((atom("x"), atom("y")))))
         net = Qcn.universal(("x", "y")).set_constraint("x", "y", B)
         ew = ExtendedWorkflow(w, net, {"x": "x", "y": "y"})
         assert validate(ew).ok
 
     def test_duplicate_labels_reported(self):
-        w = Conj(Atomic("a", 1, label="x"), Atomic("b", 2, label="x"))
+        w = Conj((Atomic("a", 1, label="x"), Atomic("b", 2, label="x")))
         report = validate(ExtendedWorkflow(w, Qcn.universal(()), {}))
         assert any(v.kind == "duplicate-label" for v in report.violations)
 
@@ -117,7 +117,7 @@ class TestSequenceFree:
         ew = embed(rename_occurrences(seq(atom("alpha"), atom("beta"), atom("gamma"))))
         free = sequence_free(ew)
         expected_tree = normalize(
-            Conj(Atomic("alpha"), Conj(Atomic("beta"), Atomic("gamma")))
+            Conj((Atomic("alpha"), Conj((Atomic("beta"), Atomic("gamma")))))
         )
         assert fingerprint(free.workflow) == fingerprint(expected_tree)
         constraints = {(a, b, r.tokens()) for a, b, r in free.network.nontrivial_pairs()}
@@ -132,7 +132,7 @@ class TestSequenceFree:
         ew = embed(rename_occurrences(loop(seq(atom("alpha"), atom("beta")))))
         free = sequence_free(ew)
         assert fingerprint(free.workflow) == fingerprint(
-            normalize(Loop(Conj(Atomic("alpha"), Atomic("beta"))))
+            normalize(Loop(Conj((Atomic("alpha"), Atomic("beta")))))
         )
         constraints = {(a, b, r.tokens()) for a, b, r in free.network.nontrivial_pairs()}
         assert constraints == {("alpha", "beta", "b m")}
@@ -216,7 +216,7 @@ class TestStrongSatisfiability:
         # consistent network does not guarantee a model once constraints
         # pin every branch against the sequence order.  This documents the
         # divergence on the smallest instance found.
-        w = rename_occurrences(Seq(atom("a"), disj(atom("b"), atom("c"))))
+        w = rename_occurrences(Seq((atom("a"), disj(atom("b"), atom("c")))))
         net = Qcn.universal(("a", "b", "c"))
         net = net.set_constraint("a", "b", RelationSet.parse("bi d"))
         net = net.set_constraint("a", "c", RelationSet.parse("mi si d f"))
@@ -246,7 +246,7 @@ class TestCheckSatisfiable:
         assert check_model(model.instance, model.assignment, ew.network, variable_paths(ew))
 
     def test_invalid_input_rejected(self):
-        w = rename_occurrences(Seq(atom("alpha"), Loop(atom("beta"))))
+        w = rename_occurrences(Seq((atom("alpha"), Loop(atom("beta")))))
         net = Qcn.universal(("alpha", "beta")).set_constraint("alpha", "beta", B)
         ew = ExtendedWorkflow(w, net, {"alpha": "alpha", "beta": "beta"})
         with pytest.raises(InvalidExtendedWorkflowError):

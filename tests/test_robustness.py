@@ -1,0 +1,152 @@
+"""The exit-code contract on large and hostile inputs.
+
+Every command answers 0, 1 or 2; no input makes an exception escape.  Trees
+are as deep as the source's brackets, which the parser caps, so long chains
+and wide groups stay shallow.
+"""
+
+import contextlib
+import io
+import os
+import re
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twf.cli import main
+from twf.dsl import MAX_NESTING
+
+
+def run(path, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(tmp_path, text, name="doc.twf"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestLargeInputs:
+    def test_long_chain(self, tmp_path):
+        steps = [f"a{i}" for i in range(10_000)]
+        path = write(tmp_path, f"workflow c = {' -> '.join(steps)}\n")
+        code, out, _ = run(path, "normalize")
+        assert code == 0
+        assert out == f"workflow c = {' -> '.join(steps)}\n"
+        code, out, _ = run(path, "dot")
+        assert code == 0
+        assert out.count("shape=box, style=rounded") == 10_000
+        # the chain takes ids 0..9998 and its steps 9999..19998
+        assert "a19997 -> a19998;" in out
+
+    def test_wide_group(self, tmp_path):
+        parts = [f"a{i:04d}" for i in range(1200)]
+        path = write(tmp_path, f"workflow g = and{{ {' ; '.join(reversed(parts))} }}\n")
+        code, out, _ = run(path, "normalize")
+        assert code == 0
+        assert out == f"workflow g = and{{ {' ; '.join(parts)} }}\n"
+        code, out, _ = run(path, "dot")
+        assert code == 0
+        assert out.count("[shape=box, style=filled") == 2 * 1199
+
+    def test_deep_parentheses_are_a_located_error(self, tmp_path):
+        path = write(tmp_path, "workflow p = " + "(" * 1000 + "a" + ")" * 1000 + "\n")
+        for command in ("normalize", "dot", "check"):
+            code, out, err = run(path, command)
+            assert code == 2
+            assert out == ""
+            # the bracket that opens level MAX_NESTING + 1
+            column = len("workflow p = ") + MAX_NESTING + 1
+            assert err == (
+                f"{path}:1:{column}: brackets nest deeper than {MAX_NESTING} levels\n"
+            )
+
+    def test_nesting_cap_is_exact(self, tmp_path):
+        kinds = {
+            "(": ("(", ")"),
+            "and": ("and{ x ; ", " }"),
+            "or": ("or{ x | ", " }"),
+            "loop": ("loop{ ", " }"),
+        }
+        for kind, (opener, closer) in kinds.items():
+            for depth, expected in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+                body = opener * depth + "a -> b" + closer * depth
+                path = write(tmp_path, f"workflow n = {body}\n", f"{kind}{depth}.twf")
+                for command in ("normalize", "dot"):
+                    assert run(path, command)[0] == expected, (kind, depth, command)
+
+
+# ---------------------------------------------------------------------------
+# Random inputs
+
+COMMANDS = ("normalize", "dot", "seqfree", "strong-check")
+
+TOKENS = [
+    "workflow", "w", "=", "a", "b", "c", "'a b'", '"q"', "->", "and{", "or{",
+    "loop{", "(", ")", "{", "}", ";", "|", ":", ",", "x:", "constraints",
+    "b", "m", "eq", "di", "#", "\n", "@", "'", "and", "or", "loop",
+]
+
+token_soups = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join),
+    st.lists(st.sampled_from(TOKENS), max_size=40).map(lambda ts: "workflow w = " + " ".join(ts)),
+)
+
+
+def expressions(names="abcd"):
+    return st.recursive(
+        st.sampled_from(list(names)),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map(" -> ".join),
+            st.lists(inner, min_size=2, max_size=4).map(lambda ps: "and{ " + " ; ".join(ps) + " }"),
+            st.lists(inner, min_size=2, max_size=4).map(lambda ps: "or{ " + " | ".join(ps) + " }"),
+            inner.map(lambda p: f"loop{{ {p} }}"),
+            inner.map(lambda p: f"( {p} )"),
+            st.tuples(st.sampled_from(["g", "h", "k"]), inner).map(lambda lp: f"{lp[0]}: ( {lp[1]} )"),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def documents(draw):
+    body = draw(expressions())
+    depth = draw(st.one_of(st.just(0), st.integers(1, 3 * MAX_NESTING)))
+    body = "(" * depth + body + ")" * depth
+    refs = st.sampled_from(["a", "b", "c", "d", "g", "h", "k"])
+    rels = st.lists(st.sampled_from(["b", "bi", "m", "mi", "o", "s", "d", "f", "eq"]), min_size=1, max_size=4)
+    constraints = draw(st.lists(st.tuples(refs, rels, refs), max_size=3))
+    text = f"workflow r = {body}\n"
+    if constraints:
+        lines = [f"    {x} {{{', '.join(r)}}} {y};" for x, r, y in constraints]
+        text += "constraints {\n" + "\n".join(lines) + "\n}\n"
+    return text
+
+
+def assert_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.twf")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in COMMANDS:
+            code, _, err = run(path, command)
+            assert code in (0, 1, 2), (command, code)
+            if code == 2:
+                assert re.match(r"(.+:\d+:\d+: |error: )", err), (command, err)
+
+
+@given(token_soups)
+@settings(max_examples=150, deadline=None)
+def test_token_soups_keep_the_exit_code_contract(text):
+    assert_contract(text)
+
+
+@given(documents())
+@settings(max_examples=150, deadline=None)
+def test_documents_keep_the_exit_code_contract(text):
+    assert_contract(text)

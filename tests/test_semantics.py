@@ -20,9 +20,12 @@ from twf.semantics import (
     weak_orders,
 )
 from twf.workflow import (
+    Atomic,
+    Seq,
     atom,
     conj,
     disj,
+    iter_nodes,
     loop,
     rename_occurrences,
     seq,
@@ -71,29 +74,71 @@ class TestWeakOrders:
         assert list(weak_orders(2)) == list(weak_orders(2))
 
 
+def sequence_le_pairs(instance, consecutive_only):
+    """Endpoint orderings of the sequences of a resolved instance: each
+    part's ends before the next part's starts, or before every later part's."""
+    index = {a.occ: i for i, a in enumerate(instance.atoms)}
+    pairs = []
+    for _, node in iter_nodes(instance.workflow):
+        if not isinstance(node, Seq):
+            continue
+        occs = [[n.occ for _, n in iter_nodes(p) if isinstance(n, Atomic)] for p in node.parts]
+        for i, j in itertools.combinations(range(len(occs)), 2):
+            if consecutive_only and j != i + 1:
+                continue
+            pairs += [(2 * index[x] + 1, 2 * index[y]) for x in occs[i] for y in occs[j]]
+    return pairs
+
+
+class TestSequenceConditions:
+    def test_consecutive_parts_order_like_every_pair(self):
+        # Intervals have positive length, so ordering consecutive parts
+        # yields the same weak orders, in the same order, as ordering every
+        # two parts of a sequence.
+        a, b, c, d = (atom(n) for n in "abcd")
+        cases = [
+            seq(a, b, c, d),
+            seq(a, conj(b, c), d),
+            seq(seq(a, b), c, disj(d, a)),
+            seq(loop(a), b),
+            loop(seq(a, b)),
+        ]
+        compared = 0
+        for w in cases:
+            for instance in enumerate_instances(rename_occurrences(w), 3):
+                if len(instance.atoms) > 4:
+                    continue
+                m = len(instance.atoms)
+                consecutive = list(weak_orders(m, sequence_le_pairs(instance, True)))
+                every = list(weak_orders(m, sequence_le_pairs(instance, False)))
+                assert consecutive == every
+                compared += 1
+        assert compared >= 8
+
+
 class TestCheckModel:
     def test_sequence_respected(self):
         w = rename_occurrences(seq(atom("alpha"), atom("beta")))
-        (inst,), _ = enumerate_instances(w, 1)
+        (inst,) = enumerate_instances(w, 1)
         a, b = (x.occ for x in inst.atoms)
         assert check_model(inst, {a: interval(0, 1), b: interval(2, 3)})
         assert check_model(inst, {a: interval(0, 1), b: interval(1, 2)})
 
     def test_sequence_violated(self):
         w = rename_occurrences(seq(atom("alpha"), atom("beta")))
-        (inst,), _ = enumerate_instances(w, 1)
+        (inst,) = enumerate_instances(w, 1)
         a, b = (x.occ for x in inst.atoms)
         assert not check_model(inst, {a: interval(0, 2), b: interval(1, 3)})
 
     def test_conjunction_imposes_no_order(self):
         w = rename_occurrences(conj(atom("alpha"), atom("beta")))
-        (inst,), _ = enumerate_instances(w, 1)
+        (inst,) = enumerate_instances(w, 1)
         a, b = (x.occ for x in inst.atoms)
         assert check_model(inst, {a: interval(0, 2), b: interval(1, 3)})
 
     def test_missing_assignment_raises(self):
         w = rename_occurrences(conj(atom("alpha"), atom("beta")))
-        (inst,), _ = enumerate_instances(w, 1)
+        (inst,) = enumerate_instances(w, 1)
         with pytest.raises(KeyError):
             check_model(inst, {inst.atoms[0].occ: interval(0, 1)})
 
@@ -119,10 +164,10 @@ class TestFindModel:
         net = net.set_constraint("alpha", "gamma", RelationSet.parse("b"))
         net = net.set_constraint("gamma", "delta", RelationSet.parse("b"))
         net = net.set_constraint("delta", "alpha", RelationSet.parse("b"))
-        paths = {"alpha": ("L", "L"), "gamma": ("R", "L"), "delta": ("R", "R")}
+        paths = {"alpha": (0, 0), "gamma": (1, 0), "delta": (1, 1)}
         model = find_model(w, net, paths)
         assert model is not None
-        assert model.resolution.choices[()] == "L"
+        assert model.resolution.choices[()] == 0
 
     def test_budget_exceeded_is_distinguished(self):
         w = rename_occurrences(conj(*(atom(n) for n in "abcdefgh")))
@@ -134,19 +179,19 @@ class TestFindModel:
         # p {b} p rules out executing p, but the other branch still works
         w = rename_occurrences(disj(atom("p"), atom("q")))
         net = Qcn.universal(("p",)).set_constraint("p", "p", RelationSet.parse("b"))
-        model = find_model(w, net, {"p": ("L",)})
+        model = find_model(w, net, {"p": (0,)})
         assert model is not None
-        assert model.resolution.choices[()] == "R"
+        assert model.resolution.choices[()] == 1
 
     def test_loop_hull_spans_all_iterations(self):
         # with the loop unrolled twice, its interval runs from the first
         # iteration's start to the last iteration's end
         w = rename_occurrences(seq(loop(atom("x")), atom("z")))
-        instances, _ = enumerate_instances(w, 2)
+        instances = enumerate_instances(w, 2)
         inst = next(i for i in instances if len(i.atoms) == 3)
         x1, x2, z = (a.occ for a in inst.atoms)
         net = Qcn.universal(("lp", "z")).set_constraint("lp", "z", RelationSet.parse("m"))
-        paths = {"lp": ("L",), "z": ("R",)}
+        paths = {"lp": (0,), "z": (1,)}
         meeting = {x1: interval(0, 1), x2: interval(1, 2), z: interval(2, 3)}
         assert check_model(inst, meeting, net, paths)
         gap = {x1: interval(0, 1), x2: interval(1, 2), z: interval(3, 4)}
@@ -168,7 +213,7 @@ class TestExecutionTimes:
     def test_leaf_times_are_its_interval(self):
         w = rename_occurrences(seq(atom("alpha"), atom("beta")))
         model = find_model(w)
-        times = execution_times(model, ("L",))
+        times = execution_times(model, (0,))
         assert times == (model.assignment[model.instance.atoms[0].occ],)
 
     def test_hull_spans_union(self):
@@ -178,7 +223,7 @@ class TestExecutionTimes:
 
     def test_sequence_hull(self):
         w = rename_occurrences(seq(atom("alpha"), atom("beta")))
-        (inst,), _ = enumerate_instances(w, 1)
+        (inst,) = enumerate_instances(w, 1)
         a, b = (x.occ for x in inst.atoms)
         assignment = {a: interval(0, 1), b: interval(2, 3)}
         from twf.semantics import Model
@@ -203,7 +248,7 @@ class TestExecutionTimes:
                 parts = set()
                 from twf.workflow import children
 
-                for step, _ in children(node):
+                for step in range(len(children(node))):
                     try:
                         parts.update(execution_times(model, path + (step,)))
                     except NotExecutedError:
@@ -214,7 +259,7 @@ class TestExecutionTimes:
         w = rename_occurrences(disj(atom("p"), atom("q")))
         model = find_model(w)
         chosen = model.resolution.choices[()]
-        other = "R" if chosen == "L" else "L"
+        other = 1 - chosen
         assert execution_times(model, (chosen,))
         with pytest.raises(NotExecutedError):
             execution_times(model, (other,))
