@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from .allen import Relation, RelationSet
 from .qcn import Qcn, entails
-from .semantics import Model, find_model
+from .semantics import DEFAULT_ATOM_BUDGET, Model, find_model
 from .workflow import (
     Atomic,
     Conj,
@@ -313,7 +313,7 @@ def check_strong_satisfiable(ew: ExtendedWorkflow) -> bool:
 
 
 def find_witness(
-    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = 7
+    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = DEFAULT_ATOM_BUDGET
 ) -> Optional[Model]:
     """A bounded model of the extended workflow, if one exists."""
     _require_valid(ew)
@@ -327,7 +327,7 @@ def find_witness(
 
 
 def check_satisfiable(
-    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = 7
+    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = DEFAULT_ATOM_BUDGET
 ) -> bool:
     """Bounded satisfiability via the brute-force model search.
 

@@ -210,18 +210,7 @@ def scenarios(n: Qcn) -> Iterator[Qcn]:
         return
     count = len(m)
 
-    def search(matrix: list[list[int]]) -> Iterator[list[list[int]]]:
-        best = None
-        best_size = 14
-        for i in range(count):
-            for j in range(i + 1, count):
-                size = matrix[i][j].bit_count()
-                if 1 < size < best_size:
-                    best, best_size = (i, j), size
-        if best is None:
-            yield matrix
-            return
-        i, j = best
+    def refinements(matrix: list[list[int]], i: int, j: int) -> Iterator[list[list[int]]]:
         choices = matrix[i][j]
         while choices:
             rel = choices & -choices
@@ -232,10 +221,26 @@ def scenarios(n: Qcn) -> Iterator[Qcn]:
             # the matrix was closed before this choice, so only triangles
             # through (i, j) can need revising
             if _pc_bits(trial, deque([(i, j)])):
-                yield from search(trial)
+                yield trial
 
-    for solved in search(m):
-        scenario = Qcn(n.variables, tuple(map(tuple, solved)))
+    # depth-first over an explicit stack, so deep searches need no recursion
+    stack = [iter([m])]
+    while stack:
+        matrix = next(stack[-1], None)
+        if matrix is None:
+            stack.pop()
+            continue
+        best = None
+        best_size = 14
+        for i in range(count):
+            for j in range(i + 1, count):
+                size = matrix[i][j].bit_count()
+                if 1 < size < best_size:
+                    best, best_size = (i, j), size
+        if best is not None:
+            stack.append(refinements(matrix, *best))
+            continue
+        scenario = Qcn(n.variables, tuple(map(tuple, matrix)))
         realize_scenario(scenario)
         yield scenario
 

@@ -83,12 +83,10 @@ class Model:
 
 
 def enumerate_instances(w: Workflow, unroll_bound: int) -> list[ResolvedInstance]:
-    """All resolved instances up to the loop bound."""
-    instances = []
-    for resolution, _ in resolutions(w, unroll_bound):
-        tree, atoms = resolve_traced(w, resolution)
-        instances.append(ResolvedInstance(w, resolution, tree, atoms))
-    return instances
+    """All resolved instances up to the loop bound, one per execution shape."""
+    return [
+        ResolvedInstance(w, r, *resolve_traced(w, r)) for r, _ in resolutions(w, unroll_bound)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +99,6 @@ def hull(intervals: Iterable[Interval]) -> Interval:
     if not items:
         raise ValueError("hull of an empty union")
     return Interval(min(i.lo for i in items), max(i.hi for i in items))
-
-
-def is_executed(instance: ResolvedInstance, node: Path) -> bool:
-    """Does the resolution execute the source node at ``node``?"""
-    choices = instance.resolution.choices
-    for depth, step in enumerate(node):
-        prefix = node[:depth]
-        if prefix in choices and choices[prefix] != step:
-            return False
-    return True
 
 
 def enclosing_loops(instance: ResolvedInstance, node: Path) -> tuple[Path, ...]:
@@ -147,7 +135,7 @@ def execution_times(
     not executed under the model's resolution.
     """
     ctx = dict(context)
-    if not is_executed(model.instance, node):
+    if not model.resolution.executes(node):
         raise NotExecutedError(f"node at {node!r} is not executed")
     atoms = _atoms_under(model.instance, node, ctx)
     if not atoms:
@@ -212,12 +200,12 @@ def _constraint_obligations(
     obligations: list[tuple[list[int], list[int], RelationSet]] = []
     for name, rels in network.degenerate_diagonal():
         path = _require_path(var_paths, name)
-        if is_executed(instance, path) and Relation.EQUALS not in rels:
+        if instance.resolution.executes(path) and Relation.EQUALS not in rels:
             return None
     for vi, vj, rels in network.nontrivial_pairs():
         pi = _require_path(var_paths, vi)
         pj = _require_path(var_paths, vj)
-        if not is_executed(instance, pi) or not is_executed(instance, pj):
+        if not (instance.resolution.executes(pi) and instance.resolution.executes(pj)):
             continue  # vacuous: an unchosen branch never runs
         loops_i = enclosing_loops(instance, pi)
         loops_j = enclosing_loops(instance, pj)
@@ -505,19 +493,20 @@ def find_model(
 
     Iterates resolutions up to the loop bound, enumerates endpoint weak
     orders for each, and returns the first candidate that passes
-    check_model.  Executions with more atoms than ``atom_budget`` are
-    skipped; if nothing was found and something was skipped, the verdict
-    is indeterminate and AtomBudgetError is raised instead of None.
+    check_model.  Execution shapes with more atoms than ``atom_budget``
+    are counted and skipped without being resolved; if nothing was found
+    and something was skipped, the verdict is indeterminate and
+    AtomBudgetError is raised instead of None.
     """
     if unroll_bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {unroll_bound}")
     var_paths = var_paths or {}
-    instances = enumerate_instances(w, unroll_bound)
-    skipped = False
-    for instance in instances:
-        if len(instance.atoms) > atom_budget:
-            skipped = True
+    skipped: list[int] = []
+    for resolution, size in resolutions(w, unroll_bound):
+        if size > atom_budget:
+            skipped.append(size)
             continue
+        instance = ResolvedInstance(w, resolution, *resolve_traced(w, resolution))
         plan = _search_plan(instance, network, var_paths)
         if plan is None:
             continue
@@ -532,7 +521,8 @@ def find_model(
             raise RuntimeError("search produced a candidate that fails verification")
     if skipped:
         raise AtomBudgetError(
-            f"no model within the atom budget ({atom_budget}); larger executions were skipped"
+            f"no model within the atom budget ({atom_budget}); "
+            f"shapes skipped: {len(skipped)}, the smallest with {min(skipped)} atoms"
         )
     return None
 

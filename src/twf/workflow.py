@@ -201,14 +201,18 @@ def unroll(w: Workflow, n: int) -> Workflow:
 class Resolution:
     """One way of executing a workflow's choice points.
 
-    ``choices`` assigns a branch index to every disjunction node (by path);
-    ``unrolls`` assigns an iteration count n >= 1 to every loop node.
-    Choice points nested inside loop bodies are resolved uniformly across
-    iterations.
+    ``choices`` assigns a branch index to every executed disjunction node
+    (by path); ``unrolls`` assigns an iteration count n >= 1 to every
+    executed loop node; a point inside an unchosen branch has no entry.
+    Choice points inside loop bodies are resolved alike in every iteration.
     """
 
     choices: Mapping[Path, int]
     unrolls: Mapping[Path, int]
+
+    def executes(self, path: Path) -> bool:
+        """Does each choice made on the way to ``path`` pick the branch leading there?"""
+        return all(self.choices.get(path[:d], step) == step for d, step in enumerate(path))
 
 
 @dataclass(frozen=True)
@@ -254,28 +258,43 @@ def resolve_traced(w: Workflow, resolution: Resolution) -> tuple[Workflow, tuple
     return go(w, (), ()), tuple(traced)
 
 
-def resolve(w: Workflow, resolution: Resolution) -> Workflow:
-    """The loop-free, disjunction-free workflow selected by a resolution."""
-    tree, _ = resolve_traced(w, resolution)
-    return tree
+def _atom_count(node: Workflow, r: Resolution, path: Path = ()) -> int:
+    """How many atoms resolve_traced gives for the subtree at ``path``."""
+    match node:
+        case Atomic():
+            return 1
+        case Disj(parts):
+            step = r.choices[path]
+            return _atom_count(parts[step], r, path + (step,))
+        case Loop(body):
+            return r.unrolls[path] * _atom_count(body, r, path + (0,))
+    return sum(_atom_count(kid, r, path + (i,)) for i, kid in enumerate(children(node)))
 
 
-def resolutions(w: Workflow, bound: int) -> tuple[tuple[Resolution, Workflow], ...]:
-    """Every combination of branch choices and loop counts in 1..bound,
-    each with its resolved tree."""
+def resolutions(w: Workflow, bound: int) -> tuple[tuple[Resolution, int], ...]:
+    """One resolution per execution shape, with its atom count.
+
+    Shapes come in the order of their first combination in the product
+    over every disjunction, then every loop (counts 1..bound), each in
+    preorder.  Whether a point executes depends only on disjunctions
+    before it in that order, so expanding point by point keeps the order.
+    """
     if bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {bound}")
-    disjs = [(p, n) for p, n in iter_nodes(w) if isinstance(n, Disj)]
-    loop_paths = [p for p, n in iter_nodes(w) if isinstance(n, Loop)]
-    options = [range(len(n.parts)) for _, n in disjs]
-    options += [range(1, bound + 1)] * len(loop_paths)
-    entries = []
-    for combo in itertools.product(*options):
-        choices = {p: step for (p, _), step in zip(disjs, combo)}
-        unrolls = dict(zip(loop_paths, combo[len(disjs):]))
-        resolution = Resolution(choices, unrolls)
-        entries.append((resolution, resolve(w, resolution)))
-    return tuple(entries)
+    points = [(p, n, range(len(n.parts))) for p, n in iter_nodes(w) if isinstance(n, Disj)]
+    points += [(p, n, range(1, bound + 1)) for p, n in iter_nodes(w) if isinstance(n, Loop)]
+    partial = [Resolution({}, {})]
+    for path, node, options in points:
+        grown = []
+        for r in partial:
+            if not r.executes(path):
+                grown.append(r)
+            elif isinstance(node, Disj):
+                grown += [Resolution({**r.choices, path: k}, r.unrolls) for k in options]
+            else:
+                grown += [Resolution(r.choices, {**r.unrolls, path: k}) for k in options]
+        partial = grown
+    return tuple((r, _atom_count(w, r)) for r in partial)
 
 
 # ---------------------------------------------------------------------------

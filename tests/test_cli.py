@@ -70,7 +70,8 @@ class TestCheck:
         )
         code, _, err = run(capsys, "check", str(big))
         assert code == 2
-        assert "budget" in err
+        assert "atom budget (7)" in err
+        assert "shapes skipped: 1, the smallest with 8 atoms" in err
 
 
 class TestStrongCheck:

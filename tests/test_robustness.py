@@ -54,6 +54,29 @@ class TestLargeInputs:
         assert code == 0
         assert out.count("[shape=box, style=filled") == 2 * 1199
 
+    def test_many_nested_choices(self, tmp_path):
+        # 2**100 combinations of branches, but only 101 execution shapes
+        body = "x"
+        for _ in range(100):
+            body = f"or{{ x | {body} }}"
+        path = write(tmp_path, f"workflow n = {body}\n")
+        code, out, _ = run(path, "check")
+        assert code == 0
+        assert out == "satisfiable: yes\nwitness schedule:\n    x [0, 1]\n"
+
+    def test_deep_scenario_search(self, tmp_path):
+        # 50 unordered atoms and 25 universal constraints: the search fixes
+        # about 1 200 edges one after the other
+        atoms = " ; ".join(f"a{i}" for i in range(50))
+        universal = "b, m, o, s, d, f, eq, bi, mi, oi, si, di, fi"
+        lines = "".join(f"    a{2 * k} {{{universal}}} a{2 * k + 1};\n" for k in range(25))
+        path = write(tmp_path, f"workflow u = and{{ {atoms} }}\nconstraints {{\n{lines}}}\n")
+        code, out, _ = run(path, "strong-check")
+        assert (code, out) == (0, "strongly-satisfiable: yes\n")
+        code, out, _ = run(path, "scenario")
+        assert code == 0
+        assert out.startswith("scenario:")
+
     def test_deep_parentheses_are_a_located_error(self, tmp_path):
         path = write(tmp_path, "workflow p = " + "(" * 1000 + "a" + ")" * 1000 + "\n")
         for command in ("normalize", "dot", "check"):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_extended, rand_workflow
+from twf import semantics
 from twf.allen import Interval, RelationSet, interval
 from twf.extended import variable_paths
 from twf.qcn import Qcn
@@ -28,6 +29,7 @@ from twf.workflow import (
     iter_nodes,
     loop,
     rename_occurrences,
+    resolve_traced,
     seq,
 )
 
@@ -174,6 +176,24 @@ class TestFindModel:
         with pytest.raises(AtomBudgetError):
             find_model(w, atom_budget=7)
         assert find_model(w, atom_budget=16) is not None
+
+    def test_only_in_budget_shapes_are_resolved(self, monkeypatch):
+        calls = []
+
+        def counting(w, resolution):
+            calls.append(resolution)
+            return resolve_traced(w, resolution)
+
+        monkeypatch.setattr(semantics, "resolve_traced", counting)
+        # eight chained choices: 256 shapes of eight atoms each
+        chain = rename_occurrences(seq(*(disj(atom(f"a{i}"), atom(f"b{i}")) for i in range(8))))
+        with pytest.raises(AtomBudgetError, match="shapes skipped: 256, the smallest with 8 atoms"):
+            find_model(chain)
+        assert calls == []
+        # the eight-atom branch is counted, only the one-atom branch is built
+        w = rename_occurrences(disj(conj(*(atom(n) for n in "abcdefgh")), atom("z")))
+        assert find_model(w) is not None
+        assert [r.choices for r in calls] == [{(): 1}]
 
     def test_self_constraint_on_unexecuted_branch_is_vacuous(self):
         # p {b} p rules out executing p, but the other branch still works

@@ -1,6 +1,7 @@
 """Workflow trees: subworkflows, renaming, unrolling, resolutions,
 normal forms, substitution and syntactic subsumption."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from twf.workflow import (
     SubsumptionVerdict,
     atom,
     atoms,
+    children,
     conj,
     disj,
     fingerprint,
@@ -29,6 +31,7 @@ from twf.workflow import (
     proper_subworkflows,
     rename_occurrences,
     resolutions,
+    resolve_traced,
     seq,
     substitute,
     subsumes_syntactic,
@@ -39,7 +42,40 @@ from twf.workflow import (
 
 def shapes(w, bound):
     """Normalized fingerprints of all resolved executions up to the bound."""
-    return {fingerprint(normalize(tree)) for _, tree in resolutions(w, bound)}
+    return {fingerprint(normalize(resolve_traced(w, r)[0])) for r, _ in resolutions(w, bound)}
+
+
+def executed_points(w, choices):
+    """Paths of the disjunctions and loops reached from the root when every
+    disjunction takes the branch ``choices`` gives it."""
+    points, stack = set(), [((), w)]
+    while stack:
+        path, node = stack.pop()
+        steps = range(len(children(node)))
+        if isinstance(node, (Disj, Loop)):
+            points.add(path)
+        if isinstance(node, Disj):
+            steps = [choices[path]]
+        stack += [(path + (i,), children(node)[i]) for i in steps]
+    return points
+
+
+def reference_resolutions(w, bound):
+    """Brute force: the whole product over every disjunction, then every
+    loop, each in preorder; the first combination of each distinct
+    assignment to the executed points is kept, restricted to them."""
+    disjs = [(p, n) for p, n in iter_nodes(w) if isinstance(n, Disj)]
+    loops = [p for p, n in iter_nodes(w) if isinstance(n, Loop)]
+    options = [range(len(n.parts)) for _, n in disjs] + [range(1, bound + 1)] * len(loops)
+    kept = {}
+    for combo in itertools.product(*options):
+        choices = {p: step for (p, _), step in zip(disjs, combo)}
+        unrolls = dict(zip(loops, combo[len(disjs):]))
+        reached = executed_points(w, choices)
+        choices = {p: k for p, k in choices.items() if p in reached}
+        unrolls = {p: k for p, k in unrolls.items() if p in reached}
+        kept.setdefault((tuple(choices.items()), tuple(unrolls.items())), (choices, unrolls))
+    return list(kept.values())
 
 
 class TestSubworkflows:
@@ -121,36 +157,61 @@ class TestResolutions:
         assert not enum[0][0].unrolls
 
     def test_choice_has_two(self):
-        enum = resolutions(rename_occurrences(disj(atom("alpha"), atom("beta"))), 3)
-        got = {fingerprint(normalize(tree)) for _, tree in enum}
+        w = rename_occurrences(disj(atom("alpha"), atom("beta")))
+        enum = resolutions(w, 3)
+        assert [count for _, count in enum] == [1, 1]
+        got = {fingerprint(normalize(resolve_traced(w, r)[0])) for r, _ in enum}
         assert got == {fingerprint(atom("alpha")), fingerprint(atom("beta"))}
 
     def test_loop_unrolls_to_bound(self):
-        enum = resolutions(rename_occurrences(loop(atom("alpha"))), 2)
+        w = rename_occurrences(loop(atom("alpha")))
+        enum = resolutions(w, 2)
         assert [r.unrolls[()] for r, _ in enum] == [1, 2]
-        got = {fingerprint(normalize(tree)) for _, tree in enum}
+        assert [count for _, count in enum] == [1, 2]
+        got = {fingerprint(normalize(resolve_traced(w, r)[0])) for r, _ in enum}
         expected = {
             fingerprint(normalize(atom("alpha"))),
             fingerprint(normalize(Seq((Atomic("alpha"), Atomic("alpha"))))),
         }
         assert got == expected
 
-    def test_every_choice_point_has_an_entry(self):
+    def test_keys_are_exactly_the_executed_choice_points(self):
         rng = random.Random(7)
         for _ in range(25):
             w = rand_workflow(rng)
-            disj_paths = {p for p, n in iter_nodes(w) if isinstance(n, Disj)}
-            loop_paths = {p for p, n in iter_nodes(w) if isinstance(n, Loop)}
             for resolution, _ in resolutions(w, 2):
-                assert set(resolution.choices) == disj_paths
-                assert set(resolution.unrolls) == loop_paths
+                reached = executed_points(w, resolution.choices)
+                assert set(resolution.choices) | set(resolution.unrolls) == reached
+                assert all(isinstance(node_at(w, p), Disj) for p in resolution.choices)
+                assert all(isinstance(node_at(w, p), Loop) for p in resolution.unrolls)
                 assert all(n >= 1 for n in resolution.unrolls.values())
 
     def test_resolved_trees_have_fresh_distinct_ids(self):
         w = rename_occurrences(loop(conj(atom("a"), atom("b"))))
-        for _, tree in resolutions(w, 3):
-            occs = [n.occ for _, n in atoms(tree)]
+        for r, _ in resolutions(w, 3):
+            occs = [n.occ for _, n in atoms(resolve_traced(w, r)[0])]
             assert len(occs) == len(set(occs))
+
+    def test_nested_choices_give_one_resolution_per_shape(self):
+        # or{ x | or{ x | ... } }: 12 choice points, 13 shapes, one atom each
+        w = atom("x")
+        for _ in range(12):
+            w = disj(atom("x"), w)
+        enum = resolutions(rename_occurrences(w), 3)
+        assert len(enum) == 13
+        assert [len(r.choices) for r, _ in enum] == list(range(1, 13)) + [12]
+        assert all(count == 1 for _, count in enum)
+
+    @given(workflow_strategy(max_leaves=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_brute_force_product(self, w):
+        enum = resolutions(w, 2)
+        got = [(dict(r.choices), dict(r.unrolls)) for r, _ in enum]
+        assert got == reference_resolutions(w, 2)
+        keys = {(tuple(c.items()), tuple(u.items())) for c, u in got}
+        assert len(keys) == len(got)
+        for r, count in enum:
+            assert count == len(resolve_traced(w, r)[1])
 
     def test_rejects_zero_bound(self):
         with pytest.raises(ValueError):
