@@ -104,19 +104,15 @@ def _emit_verdict(
 def _cmd_check(args) -> int:
     doc = _load(args.file)
     ew = doc.extended
+    paths = variable_paths(ew)
     try:
-        model = find_model(
-            ew.workflow,
-            ew.network,
-            variable_paths(ew),
-            unroll_bound=args.unroll_bound,
-        )
+        model = find_model(ew.workflow, ew.network, paths, unroll_bound=args.unroll_bound)
     except AtomBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     witness = None
     if model is not None:
-        if not check_model(model.instance, model.assignment, ew.network, variable_paths(ew)):
+        if not check_model(model.instance, model.assignment, ew.network, paths):
             print("error: witness failed re-verification", file=sys.stderr)
             return 2
         witness = _witness_rows(model)

@@ -33,8 +33,10 @@ from .allen import Relation, RelationSet
 from .extended import (
     ExtendedWorkflow,
     KeyResolutionError,
-    resolve_key,
+    key_census,
+    lookup_key,
     validate,
+    variable_paths,
 )
 from .qcn import Qcn
 from .workflow import (
@@ -327,14 +329,15 @@ def parse(text: str) -> ParsedDocument:
     tree = rename_occurrences(tree)
 
     diagnostics: list[Diagnostic] = []
-    variables: list[str] = []
+    census = key_census(tree)
+    variables: dict[str, None] = {}
     for left, _, right, token in raw_constraints:
         for key in (left, right):
             if key in variables:
                 continue
             try:
-                resolve_key(tree, key)
-                variables.append(key)
+                lookup_key(census, key)
+                variables[key] = None
             except KeyResolutionError as exc:
                 diagnostics.append(Diagnostic(token.line, token.col, str(exc)))
     if diagnostics:
@@ -514,7 +517,7 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
     edges.append(f"start -> {entry};")
     edges.append(f"{exit_} -> end;")
 
-    key_paths = {var: resolve_key(ew.workflow, key) for key, var in ew.r_map.items()}
+    key_paths = variable_paths(ew)
     for vi, vj, rels in ew.network.nontrivial_pairs():
         a = anchor[key_paths[vi]]
         b = anchor[key_paths[vj]]

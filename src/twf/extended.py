@@ -73,14 +73,23 @@ def embed(w: Workflow) -> ExtendedWorkflow:
     return ExtendedWorkflow(w, Qcn.universal(()), {})
 
 
-def resolve_key(w: Workflow, key: str) -> Path:
-    """The unique node a reference key denotes: a label or an atom name."""
-    matches = []
+def key_census(w: Workflow) -> dict[str, list[Path]]:
+    """Every reference key of the tree -> the paths of the nodes it matches.
+
+    A labeled node answers to its label and an unlabeled atom to its name;
+    paths are in preorder.
+    """
+    census: dict[str, list[Path]] = {}
     for path, node in iter_nodes(w):
-        if node.label == key:
-            matches.append(path)
-        elif isinstance(node, Atomic) and node.label is None and node.name == key:
-            matches.append(path)
+        key = node.name if node.label is None and isinstance(node, Atomic) else node.label
+        if key is not None:
+            census.setdefault(key, []).append(path)
+    return census
+
+
+def lookup_key(census: Mapping[str, list[Path]], key: str) -> Path:
+    """The unique node a reference key denotes in a :func:`key_census`."""
+    matches = census.get(key, ())
     if not matches:
         raise KeyResolutionError(f"reference {key!r} matches no node")
     if len(matches) > 1:
@@ -88,9 +97,15 @@ def resolve_key(w: Workflow, key: str) -> Path:
     return matches[0]
 
 
+def resolve_key(w: Workflow, key: str) -> Path:
+    """The unique node a reference key denotes: a label or an atom name."""
+    return lookup_key(key_census(w), key)
+
+
 def variable_paths(ew: ExtendedWorkflow) -> dict[str, Path]:
     """Network variable -> node path, resolved against the current tree."""
-    return {var: resolve_key(ew.workflow, key) for key, var in ew.r_map.items()}
+    census = key_census(ew.workflow)
+    return {var: lookup_key(census, key) for key, var in ew.r_map.items()}
 
 
 def _loop_context(w: Workflow, path: Path) -> tuple[Path, ...]:
@@ -134,22 +149,20 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
     violations: list[Violation] = []
     seen_labels: dict[str, Path] = {}
     for path, node in iter_nodes(ew.workflow):
-        if node.label is not None:
-            if node.label in seen_labels:
-                violations.append(
-                    Violation(
-                        "duplicate-label",
-                        f"label {node.label!r} is used more than once",
-                        paths=(seen_labels[node.label], path),
-                    )
+        if node.label is not None and seen_labels.setdefault(node.label, path) != path:
+            violations.append(
+                Violation(
+                    "duplicate-label",
+                    f"label {node.label!r} is used more than once",
+                    paths=(seen_labels[node.label], path),
                 )
-            else:
-                seen_labels[node.label] = path
+            )
 
+    census = key_census(ew.workflow)
     key_paths: dict[str, Path] = {}
     for key in ew.r_map:
         try:
-            key_paths[key] = resolve_key(ew.workflow, key)
+            key_paths[key] = lookup_key(census, key)
         except KeyResolutionError as exc:
             violations.append(Violation("unresolved-key", str(exc)))
 
@@ -255,45 +268,34 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
 
     tree, _, _ = go(ew.workflow, ())
 
-    taken = set(ew.r_map) | set(ew.r_map.values())
-    for _, node in iter_nodes(tree):
-        if node.label is not None:
-            taken.add(node.label)
-        if isinstance(node, Atomic):
-            taken.add(node.name)
+    census = key_census(tree)
+    # the census keys are every label and the names of unlabeled atoms
+    taken = set(ew.r_map) | set(ew.r_map.values()) | set(census)
+    taken |= {node.name for _, node in iter_nodes(tree) if isinstance(node, Atomic)}
+    fresh = (f"n{i}" for i in itertools.count(1) if f"n{i}" not in taken)
+    minted: dict[Path, str] = {}
     r_map = dict(ew.r_map)
-    network = ew.network
-    mint = itertools.count(1)
+    in_use = set(r_map.values()) | set(ew.network.variables)
 
-    def key_for(path: Path) -> str:
-        nonlocal tree
+    def var_for(path: Path) -> str:
         node = node_at(tree, path)
-        if node.label is not None:
-            return node.label
-        if isinstance(node, Atomic):
-            try:
-                if resolve_key(tree, node.name) == path:
-                    return node.name
-            except KeyResolutionError:
-                pass
-        label = f"n{next(mint)}"
-        while label in taken:
-            label = f"n{next(mint)}"
-        taken.add(label)
-        tree = relabel(tree, path, label)
-        return label
+        key = minted.get(path, node.label)
+        if key is None and isinstance(node, Atomic) and census[node.name] == [path]:
+            key = node.name
+        elif key is None:
+            if isinstance(node, Atomic):
+                census[node.name].remove(path)  # once labeled, it no longer answers to its name
+            key = minted[path] = next(fresh)
+        if key not in r_map:
+            r_map[key] = _uniquify(key, in_use)
+            in_use.add(r_map[key])
+        return r_map[key]
 
-    for path_a, path_b in pairs:
-        key_a = key_for(path_a)
-        key_b = key_for(path_b)
-        for key in (key_a, key_b):
-            if key not in r_map:
-                var = _uniquify(key, set(r_map.values()) - {key})
-                r_map[key] = var
-        network = network.with_variable(r_map[key_a]).with_variable(r_map[key_b])
-        network = network.set_constraint(r_map[key_a], r_map[key_b], SEQUENCE_RELATIONS)
-
-    return ExtendedWorkflow(normalize(tree), network, r_map)
+    var_pairs = [(var_for(a), var_for(b)) for a, b in pairs]
+    network = ew.network.with_variable(*(var for pair in var_pairs for var in pair))
+    for var_a, var_b in var_pairs:
+        network = network.set_constraint(var_a, var_b, SEQUENCE_RELATIONS)
+    return ExtendedWorkflow(normalize(relabel(tree, minted)), network, r_map)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +357,6 @@ def subsumes_sufficient(ew1: ExtendedWorkflow, ew2: ExtendedWorkflow) -> Subsump
             )
     if subsumes_syntactic(ew1.workflow, ew2.workflow) is not SubsumptionVerdict.HOLDS:
         return SubsumptionVerdict.UNKNOWN
-    base = ew1.network
-    for var in ew2.network.variables:
-        base = base.with_variable(var)
-    if entails(base, ew2.network):
+    if entails(ew1.network.with_variable(*ew2.network.variables), ew2.network):
         return SubsumptionVerdict.HOLDS
     return SubsumptionVerdict.UNKNOWN

@@ -69,11 +69,7 @@ class Qcn:
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        n = len(names)
-        matrix = tuple(
-            tuple(_EQ if i == j else _ANY for j in range(n)) for i in range(n)
-        )
-        return cls(names, matrix)
+        return cls((), ()).with_variable(*names)
 
     def index(self, variable: str) -> int:
         try:
@@ -84,13 +80,17 @@ class Qcn:
     def get(self, vi: str, vj: str) -> RelationSet:
         return RelationSet(self.constraints[self.index(vi)][self.index(vj)])
 
-    def with_variable(self, name: str) -> "Qcn":
-        """The network plus one unconstrained variable (itself if present)."""
-        if name in self.variables:
+    def with_variable(self, *names: str) -> "Qcn":
+        """The network plus an unconstrained variable for each name not yet
+        present, appended in first-use order with one copy of the matrix."""
+        present = set(self.variables)
+        new = tuple(name for name in dict.fromkeys(names) if name not in present)
+        if not new:
             return self
-        rows = tuple(row + (_ANY,) for row in self.constraints)
-        last = (_ANY,) * len(rows) + (_EQ,)
-        return Qcn(self.variables + (name,), rows + (last,))
+        n, k = len(self.variables), len(new)
+        rows = tuple(row + (_ANY,) * k for row in self.constraints)
+        rows += tuple((_ANY,) * (n + i) + (_EQ,) + (_ANY,) * (k - 1 - i) for i in range(k))
+        return Qcn(self.variables + new, rows)
 
     def set_constraint(self, vi: str, vj: str, rels: RelationSet) -> "Qcn":
         """Intersect ``rels`` into C[vi][vj] (and its converse into C[vj][vi]).

@@ -150,17 +150,6 @@ def atoms(w: Workflow) -> list[tuple[Path, Atomic]]:
     return [(p, n) for p, n in iter_nodes(w) if isinstance(n, Atomic)]
 
 
-def labels(w: Workflow) -> dict[str, Path]:
-    """All node labels mapped to their paths; raises on duplicates."""
-    out: dict[str, Path] = {}
-    for path, node in iter_nodes(w):
-        if node.label is not None:
-            if node.label in out:
-                raise ValueError(f"duplicate label {node.label!r}")
-            out[node.label] = path
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Occurrence renaming, subworkflows, unrolling
 
@@ -407,9 +396,17 @@ def substitute(w: Workflow, at: Path, replacement: Workflow) -> Workflow:
     return _replace_at(w, at, rename_occurrences(replacement))
 
 
-def relabel(w: Workflow, at: Path, label: Optional[str]) -> Workflow:
-    """Replace the label of the node addressed by ``at`` (occurrences kept)."""
-    return _replace_at(w, at, replace(node_at(w, at), label=label))
+def relabel(w: Workflow, labels: Mapping[Path, Optional[str]]) -> Workflow:
+    """Give each node addressed in ``labels`` its new label, in one pass
+    that rebuilds only the nodes on the way to them (occurrences kept)."""
+    above = {path[:depth] for path in labels for depth in range(len(path))}
+
+    def go(node: Workflow, path: Path) -> Workflow:
+        if path in above:
+            node = with_children(node, [go(kid, path + (k,)) for k, kid in enumerate(children(node))])
+        return replace(node, label=labels[path]) if path in labels else node
+
+    return go(w, ())
 
 
 # ---------------------------------------------------------------------------

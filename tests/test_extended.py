@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_extended, rand_workflow
 from twf.allen import RelationSet
+from twf.dsl import format_document, parse_extended
 from twf.extended import (
     ExtendedWorkflow,
     InvalidExtendedWorkflowError,
@@ -154,11 +155,27 @@ class TestSequenceFree:
         for _ in range(15):
             ew = rand_extended(rng)
             once = sequence_free(ew)
+            assert validate(once).ok
             twice = sequence_free(once)
             assert fingerprint(once.workflow) == fingerprint(twice.workflow)
             assert list(once.network.nontrivial_pairs()) == list(
                 twice.network.nontrivial_pairs()
             )
+
+    def test_new_key_gets_a_variable_of_its_own(self):
+        # `x` is mapped to the variable `a`, so the anchor atom `a` must not
+        # be given `a` as its variable as well
+        w = rename_occurrences(
+            Seq((Conj((Atomic("p"), Atomic("q")), label="x"), Atomic("a"), Atomic("o")))
+        )
+        net = Qcn.universal(("a", "other")).set_constraint("a", "other", B)
+        ew = ExtendedWorkflow(w, net, {"x": "a", "o": "other"})
+        assert validate(ew).ok
+        assert check_satisfiable(ew)
+        free = sequence_free(ew)
+        assert validate(free).ok
+        assert free.r_map == {"x": "a", "o": "other", "a": "a2"}
+        assert check_strong_satisfiable(ew)
 
     def test_no_seq_nodes_and_one_constraint_per_seq(self, rng):
         for _ in range(40):
@@ -182,6 +199,36 @@ class TestSequenceFree:
             assert before == after
             checked += 1
         assert checked >= 50
+
+
+class TestMintedLabels:
+    """Texts of `seqfree` recorded before keys resolved from a census."""
+
+    @staticmethod
+    def seqfree(text: str) -> str:
+        return format_document(sequence_free(parse_extended(text)), "m")
+
+    def test_minted_atom_leaves_its_name(self):
+        # the first n1 is ambiguous and is minted n2; the second n1 is then
+        # the only node answering to its name and keeps it
+        assert self.seqfree("workflow m = ( a2 -> n1 ) -> n1\n") == (
+            "workflow m = and{ a2 ; n1 ; n2: n1 }\n"
+            "constraints {\n"
+            "    a2 {b, m} n2;\n"
+            "    n2 {b, m} n1;\n"
+            "}\n"
+        )
+
+    def test_names_of_labeled_atoms_are_not_minted(self):
+        text = "workflow m = and{ p ; q } -> x: n1 -> or{ r | s }\nconstraints {\n    x {b, m} p;\n}\n"
+        assert self.seqfree(text) == (
+            "workflow m = and{ x: n1 ; n2: and{ p ; q } ; n3: or{ r | s } }\n"
+            "constraints {\n"
+            "    x {b, m} p;\n"
+            "    x {bi, mi} n2;\n"
+            "    x {b, m} n3;\n"
+            "}\n"
+        )
 
 
 class TestStrongSatisfiability:

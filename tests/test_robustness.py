@@ -11,11 +11,13 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twf import extended, workflow
 from twf.cli import main
-from twf.dsl import MAX_NESTING
+from twf.dsl import MAX_NESTING, export_dot, parse
 
 
 def run(path, command):
@@ -29,6 +31,17 @@ def write(tmp_path, text, name="doc.twf"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def chain_text(n):
+    return f"workflow c = {' -> '.join(f'a{i}' for i in range(n))}\n"
+
+
+def constrained_group_text(n):
+    """An and{} of n atoms with a {b} constraint between each neighbour pair."""
+    lines = "".join(f"    a{i} {{b}} a{i + 1};\n" for i in range(n - 1))
+    atoms = " ; ".join(f"a{i}" for i in range(n))
+    return f"workflow g = and{{ {atoms} }}\nconstraints {{\n{lines}}}\n"
 
 
 class TestLargeInputs:
@@ -53,6 +66,23 @@ class TestLargeInputs:
         code, out, _ = run(path, "dot")
         assert code == 0
         assert out.count("[shape=box, style=filled") == 2 * 1199
+
+    def test_long_chain_sequence_free(self, tmp_path):
+        path = write(tmp_path, chain_text(1500))
+        code, out, _ = run(path, "seqfree")
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.endswith(";") for line in lines) == 1499
+        assert "    a1498 {b, m} a1499;" in lines
+
+    def test_wide_group_with_constraints(self, tmp_path):
+        path = write(tmp_path, constrained_group_text(1500))
+        code, out, _ = run(path, "normalize")
+        assert code == 0
+        assert sum(line.endswith(";") for line in out.splitlines()) == 1499
+        code, out, _ = run(path, "dot")
+        assert code == 0
+        assert out.count("style=dashed") == 1499
 
     def test_many_nested_choices(self, tmp_path):
         # 2**100 combinations of branches, but only 101 execution shapes
@@ -173,3 +203,40 @@ def test_token_soups_keep_the_exit_code_contract(text):
 @settings(max_examples=150, deadline=None)
 def test_documents_keep_the_exit_code_contract(text):
     assert_contract(text)
+
+
+@pytest.fixture
+def walk_steps(monkeypatch):
+    """Counts the calls of ``workflow.children``, the step of every tree walk."""
+    calls = [0]
+    original = workflow.children
+
+    def counted(node):
+        calls[0] += 1
+        return original(node)
+
+    for module in (workflow, extended):
+        monkeypatch.setattr(module, "children", counted)
+    return calls
+
+
+class TestLinearWork:
+    """Keys resolve from one census per tree, so the number of walk steps
+    grows with the tree, not with the tree times the number of references
+    (about 90 000 or more steps for these 300-part documents)."""
+
+    N = 300
+
+    def test_sequence_free_on_a_chain(self, walk_steps):
+        ew = parse(chain_text(self.N)).extended
+        walk_steps[0] = 0
+        free = extended.sequence_free(ew)
+        assert len(list(free.network.nontrivial_pairs())) == self.N - 1
+        assert walk_steps[0] <= 10 * (self.N + 1)
+
+    def test_parse_and_dot_of_many_references(self, walk_steps):
+        doc = parse(constrained_group_text(self.N))
+        assert walk_steps[0] <= 10 * (self.N + 1)
+        walk_steps[0] = 0
+        assert export_dot(doc.extended).count("style=dashed") == self.N - 1
+        assert walk_steps[0] <= 10 * (self.N + 1)

@@ -24,7 +24,6 @@ from twf.workflow import (
     disj,
     fingerprint,
     iter_nodes,
-    labels,
     loop,
     node_at,
     normalize,
@@ -277,11 +276,6 @@ class TestNormalize:
         kept = [n for _, n in iter_nodes(flat) if n.label == "grp"]
         assert len(kept) == 1
         assert isinstance(kept[0], Conj)
-
-    def test_labels_must_be_unique(self):
-        w = Conj((Atomic("a", label="x"), Atomic("b", label="x")))
-        with pytest.raises(ValueError):
-            labels(w)
 
 
 class TestSequenceEquivalenceByOracle:
