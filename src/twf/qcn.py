@@ -6,8 +6,8 @@ return :class:`RelationSet` values, and only the solver reads the masks.
 Path consistency refines the matrix; consistency and scenario search run a
 backtracking solver pruned by path consistency, and every scenario found
 is realized as a concrete rational schedule before being reported.
-Entailment enumerates realizable scenarios exhaustively, which is
-exponential and intended for desk-scale networks.
+Entailment is decided by refutation: one consistency check per entry of
+the entailed network.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ class Qcn:
     def __str__(self) -> str:
         parts = [f"{vi} {{{rels.tokens()}}} {vj}" for vi, vj, rels in self.nontrivial_pairs()]
         return f"Qcn({', '.join(self.variables)}; {'; '.join(parts)})"
-
-
-Scenario = Qcn
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +366,17 @@ def check_schedule(n: Qcn, schedule: Mapping[str, Interval]) -> bool:
 def entails(n1: Qcn, n2: Qcn) -> bool:
     """Is every model of n1 a model of n2?
 
-    Exact via exhaustive scenario enumeration of n1 (exponential; meant for
-    desk-scale networks).  n2's variables must all occur in n1.
+    By refutation: n1 entails an entry (vi, vj, R) of n2 exactly when n1
+    with (vi, vj) narrowed to the complement of R is inconsistent.  A
+    constrained diagonal leaves n2 without models, so then only an
+    inconsistent n1 entails it.  n2's variables must all occur in n1.
     """
     missing = set(n2.variables) - set(n1.variables)
     if missing:
         raise VariableSetError(f"variables not in the entailing network: {sorted(missing)}")
-    wanted = list(n2.nontrivial_pairs())
-    if not wanted:
-        return True
-    for scenario in scenarios(n1):
-        for vi, vj, rels in wanted:
-            if scenario.get(vi, vj).single() not in rels:
-                return False
-    return True
+    if any(n2.degenerate_diagonal()):
+        return not is_consistent(n1)
+    return not any(
+        is_consistent(n1.set_constraint(vi, vj, UNIVERSAL - rels))
+        for vi, vj, rels in n2.nontrivial_pairs()
+    )

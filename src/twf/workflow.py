@@ -465,6 +465,8 @@ def _generalizations(w: Workflow) -> Iterator[Workflow]:
                     return replacement if label is None else replace(replacement, label=label)
 
                 for i in range(n):
+                    head = parts[i]
+                    body_key = fingerprint(_norm(head.body)) if isinstance(head, Loop) else None
                     for j in range(i + 1, n):
                         # one sequence grouping over parts[i..j] turns into
                         # a conjunction, split anywhere inside
@@ -472,10 +474,9 @@ def _generalizations(w: Workflow) -> Iterator[Workflow]:
                             grouped = Conj((seq(*parts[i : k + 1]), seq(*parts[k + 1 : j + 1])))
                             yield splice(i, j, grouped)
                         # a loop absorbs a following copy of its body
-                        head = parts[i]
-                        if isinstance(head, Loop) and fingerprint(
-                            normalize(seq(*parts[i + 1 : j + 1]))
-                        ) == fingerprint(normalize(head.body)):
+                        if body_key is not None and body_key == fingerprint(
+                            _norm(seq(*parts[i + 1 : j + 1]))
+                        ):
                             yield splice(i, j, head)
                         # any inner grouping may be wrapped in a loop
                         if (i, j) != (0, n - 1):
@@ -489,41 +490,39 @@ def _generalizations(w: Workflow) -> Iterator[Workflow]:
 
     for path, node in iter_nodes(w):
         for rewritten in rewrites_at(node):
-            if not path:
-                yield rewritten
-            else:
-                yield substitute(w, path, rewritten)
+            yield _replace_at(w, path, rewritten)
 
 
-def subsumes_syntactic(
-    w1: Workflow,
-    w2: Workflow,
-    *,
-    budget: int = 6,
-    max_states: int = 4000,
-) -> SubsumptionVerdict:
+# Rewrite steps and distinct states the subsumption search may visit.
+_REWRITE_STEPS = 6
+_MAX_STATES = 4000
+
+
+def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
     """Is every execution of w1 an execution of w2, by rewrite search?
 
-    Breadth-first search from normalize(w1) towards normalize(w2) using
-    normalization equivalences plus the generalizing rewrites; congruence
-    comes from applying rules at any position.  Exhausting the budget or
-    the state cap yields UNKNOWN, never a negative claim.
+    Breadth-first search from the normal form of w1 towards that of w2
+    using normalization equivalences plus the generalizing rewrites;
+    congruence comes from applying rules at any position.  States are
+    compared by fingerprint, so occurrence ids are never renumbered.
+    Exhausting the step budget or the state cap yields UNKNOWN, never a
+    negative claim.
     """
-    goal = fingerprint(normalize(w2))
-    start = normalize(w1)
+    goal = fingerprint(_norm(w2))
+    start = _norm(w1)
     seen = {fingerprint(start)}
     frontier = [start]
     if fingerprint(start) == goal:
         return SubsumptionVerdict.HOLDS
-    for _ in range(budget):
+    for _ in range(_REWRITE_STEPS):
         next_frontier: list[Workflow] = []
         for state in frontier:
             for candidate in _generalizations(state):
-                normal = normalize(candidate)
+                normal = _norm(candidate)
                 key = fingerprint(normal)
                 if key == goal:
                     return SubsumptionVerdict.HOLDS
-                if key not in seen and len(seen) < max_states:
+                if key not in seen and len(seen) < _MAX_STATES:
                     seen.add(key)
                     next_frontier.append(normal)
         if not next_frontier:

@@ -127,6 +127,19 @@ class TestTextTransforms:
         assert code == 1
         assert out.strip() == "unknown"
 
+    def test_subsumes_unknown_when_second_network_has_no_model(self, tmp_path, capsys):
+        # a {b} a has no model, so only an unsatisfiable first document
+        # would be subsumed by the second
+        first = tmp_path / "s1.twf"
+        first.write_text("workflow w = a -> b\n", encoding="utf-8")
+        second = tmp_path / "s2.twf"
+        second.write_text("workflow w = a -> b\nconstraints { a {b} a; }\n", encoding="utf-8")
+        assert run(capsys, "check", str(first))[0] == 0
+        assert run(capsys, "check", str(second))[0] == 1
+        code, out, _ = run(capsys, "subsumes", str(first), str(second))
+        assert code == 1
+        assert out.strip() == "unknown"
+
     def test_dot_writes_file(self, tmp_path, capsys):
         target = tmp_path / "out.dot"
         code, _, _ = run(capsys, "dot", FIG2B, "-o", str(target))

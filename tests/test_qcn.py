@@ -4,8 +4,10 @@ realization and entailment."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twf.allen import RELATIONS, Relation, RelationSet, relation_between
+from twf.allen import EMPTY, RELATIONS, Relation, RelationSet, relation_between
 from twf.qcn import (
     Qcn,
     UnknownVariableError,
@@ -259,3 +261,61 @@ class TestEntailment:
                 for n3 in nets:
                     if entails(n2, n3):
                         assert entails(n1, n3)
+
+    def test_second_network_without_models(self):
+        # a self-constraint that rules out eq leaves n2 without models
+        n2 = Qcn.universal(("i",)).set_constraint("i", "i", B)
+        assert not entails(Qcn.universal(("i", "j")), n2)
+        n1 = Qcn.universal(("i", "j")).set_constraint("i", "j", EMPTY)
+        assert entails(n1, n2)
+
+
+VARIABLES = ("v0", "v1", "v2", "v3")
+
+
+@st.composite
+def entailment_pairs(draw):
+    """Networks n1 of up to four variables and n2 on a subset of them;
+    n2's entries lean towards weakenings of n1's, and either network may
+    constrain a diagonal."""
+    rels = st.sets(st.sampled_from(RELATIONS), min_size=1, max_size=5).map(
+        lambda chosen: RelationSet.of(*chosen)
+    )
+    names = VARIABLES[: draw(st.integers(1, 4))]
+    n1 = Qcn.universal(names)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            # mostly constrained: a free 4-variable n1 has 23 917 models
+            if draw(st.integers(0, 3)):
+                n1 = n1.set_constraint(a, b, draw(rels))
+    subset = tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+    n2 = Qcn.universal(subset)
+    for i, a in enumerate(subset):
+        for b in subset[i + 1 :]:
+            kind = draw(st.sampled_from(["free", "random", "weaker"]))
+            if kind == "random":
+                n2 = n2.set_constraint(a, b, draw(rels))
+            elif kind == "weaker":
+                n2 = n2.set_constraint(a, b, n1.get(a, b) | draw(rels))
+    if draw(st.integers(0, 9)) == 0:
+        v = draw(st.sampled_from(names))
+        n1 = n1.set_constraint(v, v, draw(rels))
+    if draw(st.integers(0, 4)) == 0:
+        v = draw(st.sampled_from(subset))
+        n2 = n2.set_constraint(v, v, draw(rels))
+    return n1, n2
+
+
+@given(entailment_pairs())
+@settings(max_examples=150, deadline=None)
+def test_entails_agrees_with_the_model_oracle(pair):
+    # every model of n1 satisfies every entry of n2, its diagonal included
+    # (a model meets a diagonal entry only if that entry holds eq)
+    n1, n2 = pair
+    expected = all(
+        relation_between(model[vi], model[vj]) in n2.get(vi, vj)
+        for model in network_models_bruteforce(n1)
+        for vi in n2.variables
+        for vj in n2.variables
+    )
+    assert entails(n1, n2) is expected

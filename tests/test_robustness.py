@@ -107,6 +107,20 @@ class TestLargeInputs:
         assert code == 0
         assert out.startswith("scenario:")
 
+    def test_subsumes_with_free_variables(self, tmp_path):
+        # a4..a6 are free in the first network; listing its scenarios to
+        # decide entailment would take minutes
+        chain = f"workflow c = {' -> '.join(f'a{i}' for i in range(7))}\n"
+        universal = "b, m, o, s, d, f, eq, bi, mi, oi, si, di, fi"
+        tight = "constraints { a0 {b} a1; a1 {b} a2; a2 {b} a3; }\n"
+        free = "".join(f" a{i} {{{universal}}} a{i + 1};" for i in range(3, 6))
+        first = write(tmp_path, chain + tight, "first.twf")
+        second = write(tmp_path, chain + f"constraints {{ a0 {{b}} a3;{free} }}\n", "second.twf")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["subsumes", str(first), str(second)])
+        assert (code, out.getvalue()) == (0, "holds\n")
+
     def test_deep_parentheses_are_a_located_error(self, tmp_path):
         path = write(tmp_path, "workflow p = " + "(" * 1000 + "a" + ")" * 1000 + "\n")
         for command in ("normalize", "dot", "check"):

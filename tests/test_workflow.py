@@ -23,6 +23,7 @@ from twf.workflow import (
     conj,
     disj,
     fingerprint,
+    fresh_occ,
     iter_nodes,
     loop,
     node_at,
@@ -392,6 +393,14 @@ class TestSubsumption:
         w1 = rename_occurrences(Loop(Conj((inner1, atom("c")))))
         w2 = rename_occurrences(Loop(Conj((inner2, atom("c")))))
         assert subsumes_syntactic(w1, w2) is SubsumptionVerdict.HOLDS
+
+    def test_search_uses_up_no_occurrence_ids(self):
+        # the reversed chain is never reached, so every state is visited
+        steps = [atom(f"s{i}") for i in range(5)]
+        chain, reverse = seq(*steps), seq(*reversed(steps))
+        before = fresh_occ()
+        assert subsumes_syntactic(chain, reverse) is SubsumptionVerdict.UNKNOWN
+        assert fresh_occ() == before + 1
 
     def test_holds_is_sound_for_bounded_executions(self, rng):
         # every Holds verdict is confirmed by the execution-inclusion oracle
