@@ -1,7 +1,8 @@
 """The thirteen basic interval relations, relation sets and composition.
 
-Relations are defined through endpoint comparisons over exact rationals:
-two proper intervals always stand in exactly one basic relation.  A
+Relations are defined once, by the order of the four endpoints
+(:func:`endpoint_relation`, read as a table in :data:`ENDPOINT_RANKS`): two
+proper intervals always stand in exactly one basic relation.  A
 relation set is a 13-bit int mask, bit ``r`` standing for ``RELATIONS[r]``;
 :class:`RelationSet` is the public, range-checked type, while the solver
 works on the bare ints through :func:`compose_masks` and
@@ -15,6 +16,7 @@ asserts the two agree bit for bit.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -185,27 +187,44 @@ def interval(lo: RationalLike, hi: RationalLike) -> Interval:
     return Interval(Fraction(lo), Fraction(hi))
 
 
+def endpoint_relation(lo1, hi1, lo2, hi2) -> Relation:
+    """The basic relation between intervals [lo1, hi1] and [lo2, hi2], given
+    their endpoints in any totally ordered type (lo1 < hi1, lo2 < hi2)."""
+    if hi1 < lo2:
+        return Relation.BEFORE
+    if hi2 < lo1:
+        return Relation.AFTER
+    if hi1 == lo2:
+        return Relation.MEETS
+    if hi2 == lo1:
+        return Relation.MET_BY
+    if lo1 == lo2:
+        if hi1 == hi2:
+            return Relation.EQUALS
+        return Relation.STARTS if hi1 < hi2 else Relation.STARTED_BY
+    if lo1 < lo2:
+        if hi1 == hi2:
+            return Relation.FINISHED_BY
+        return Relation.CONTAINS if hi1 > hi2 else Relation.OVERLAPS
+    if hi1 == hi2:
+        return Relation.FINISHES
+    return Relation.DURING if hi1 < hi2 else Relation.OVERLAPPED_BY
+
+
 def relation_between(i: Interval, j: Interval) -> Relation:
     """The unique basic relation holding between two proper intervals."""
-    if i.hi < j.lo:
-        return Relation.BEFORE
-    if j.hi < i.lo:
-        return Relation.AFTER
-    if i.hi == j.lo:
-        return Relation.MEETS
-    if j.hi == i.lo:
-        return Relation.MET_BY
-    if i.lo == j.lo:
-        if i.hi == j.hi:
-            return Relation.EQUALS
-        return Relation.STARTS if i.hi < j.hi else Relation.STARTED_BY
-    if i.lo < j.lo:
-        if i.hi == j.hi:
-            return Relation.FINISHED_BY
-        return Relation.CONTAINS if i.hi > j.hi else Relation.OVERLAPS
-    if i.hi == j.hi:
-        return Relation.FINISHES
-    return Relation.DURING if i.hi < j.hi else Relation.OVERLAPPED_BY
+    return endpoint_relation(i.lo, i.hi, j.lo, j.hi)
+
+
+# The order of the endpoints (lo1, hi1, lo2, hi2) under each relation, as
+# dense ranks: equal ranks are equal endpoints, and lower ranks come first.
+# Four endpoints take at most four values, so the configurations on 0..3
+# show every relation.
+ENDPOINT_RANKS: dict[Relation, tuple[int, int, int, int]] = {
+    endpoint_relation(*ends): tuple(sorted(set(ends)).index(v) for v in ends)
+    for ends in itertools.product(range(4), repeat=4)
+    if ends[0] < ends[1] and ends[2] < ends[3]
+}
 
 
 def inverse(r: Relation) -> Relation:

@@ -44,6 +44,9 @@ def _load(path: str):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     try:
         return parse(text)
     except ParseError as exc:
@@ -101,7 +104,15 @@ def _emit_verdict(
     return 0 if verdict else 1
 
 
+def _at_least_one(value: int, option: str) -> bool:
+    if value < 1:
+        print(f"error: {option} must be at least 1, got {value}", file=sys.stderr)
+    return value >= 1
+
+
 def _cmd_check(args) -> int:
+    if not _at_least_one(args.unroll_bound, "--unroll-bound"):
+        return 2
     doc = _load(args.file)
     ew = doc.extended
     paths = variable_paths(ew)
@@ -180,8 +191,12 @@ def _cmd_dot(args) -> int:
     doc = _load(args.file)
     text = export_dot(doc.extended, doc.name)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -236,6 +251,8 @@ def _random_network(rng: random.Random, size: int, tightness: float = 0.6) -> Qc
 
 
 def _cmd_oracle_verify(args) -> int:
+    if not _at_least_one(args.instances, "--instances"):
+        return 2
     rng = random.Random(args.seed)
     failures = 0
 

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from .allen import Relation, RelationSet
 from .qcn import Qcn, entails
-from .semantics import DEFAULT_ATOM_BUDGET, Model, find_model
+from .semantics import Model, find_model
 from .workflow import (
     Atomic,
     Conj,
@@ -314,29 +314,19 @@ def check_strong_satisfiable(ew: ExtendedWorkflow) -> bool:
     return is_consistent(sequence_free(ew).network)
 
 
-def find_witness(
-    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = DEFAULT_ATOM_BUDGET
-) -> Optional[Model]:
+def find_witness(ew: ExtendedWorkflow, *, unroll_bound: int = 3) -> Optional[Model]:
     """A bounded model of the extended workflow, if one exists."""
     _require_valid(ew)
-    return find_model(
-        ew.workflow,
-        ew.network,
-        variable_paths(ew),
-        unroll_bound=unroll_bound,
-        atom_budget=atom_budget,
-    )
+    return find_model(ew.workflow, ew.network, variable_paths(ew), unroll_bound=unroll_bound)
 
 
-def check_satisfiable(
-    ew: ExtendedWorkflow, *, unroll_bound: int = 3, atom_budget: int = DEFAULT_ATOM_BUDGET
-) -> bool:
+def check_satisfiable(ew: ExtendedWorkflow, *, unroll_bound: int = 3) -> bool:
     """Bounded satisfiability via the brute-force model search.
 
     Sound and complete only up to the loop bound and the atom budget;
     exceeding the budget raises instead of answering.
     """
-    return find_witness(ew, unroll_bound=unroll_bound, atom_budget=atom_budget) is not None
+    return find_witness(ew, unroll_bound=unroll_bound) is not None
 
 
 # ---------------------------------------------------------------------------

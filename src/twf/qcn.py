@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .allen import (
+    ENDPOINT_RANKS,
+    RELATIONS,
     UNIVERSAL,
     Interval,
     Relation,
@@ -251,33 +253,11 @@ def is_consistent(n: Qcn) -> bool:
 # Realization
 
 
-# Endpoint facts implied by each basic relation between intervals i and j.
-# Endpoints are (variable, 0) for the start and (variable, 1) for the end.
-_RELATION_FACTS: dict[Relation, tuple[tuple[tuple[int, int], str, tuple[int, int]], ...]] = {
-    Relation.BEFORE: (((0, 1), "<", (1, 0)),),
-    Relation.MEETS: (((0, 1), "=", (1, 0)),),
-    Relation.OVERLAPS: (((0, 0), "<", (1, 0)), ((1, 0), "<", (0, 1)), ((0, 1), "<", (1, 1))),
-    Relation.STARTS: (((0, 0), "=", (1, 0)), ((0, 1), "<", (1, 1))),
-    Relation.DURING: (((1, 0), "<", (0, 0)), ((0, 1), "<", (1, 1))),
-    Relation.FINISHES: (((1, 0), "<", (0, 0)), ((0, 1), "=", (1, 1))),
-    Relation.EQUALS: (((0, 0), "=", (1, 0)), ((0, 1), "=", (1, 1))),
-}
-
-
-def _endpoint_facts(rel: Relation):
-    """(a_endpoint, op, b_endpoint) facts for i rel j, with 0 = i and 1 = j."""
-    if rel in _RELATION_FACTS:
-        return _RELATION_FACTS[rel]
-    swapped = _RELATION_FACTS[rel.inverse]
-    return tuple(
-        ((1 - ia, pa), op, (1 - ib, pb)) for (ia, pa), op, ((ib, pb)) in swapped
-    )
-
-
 def realize_scenario(s: Qcn) -> Schedule:
     """A concrete rational schedule witnessing an atomic scenario.
 
-    Builds the endpoint order graph implied by every singleton relation,
+    Builds the endpoint order graph that every singleton relation's
+    endpoint order (:data:`~twf.allen.ENDPOINT_RANKS`) implies,
     layers it topologically, assigns consecutive integer rationals to the
     layers, and re-checks every constraint on the result.
     """
@@ -300,15 +280,17 @@ def realize_scenario(s: Qcn) -> Schedule:
         ((v, 0), (v, 1)) for v in range(count)
     ]
     for i in range(count):
+        row = s.constraints[i]
         for j in range(i + 1, count):
-            rel = RelationSet(s.constraints[i][j]).single()
-            for (va, pa), op, (vb, pb) in _endpoint_facts(rel):
-                a = (i if va == 0 else j, pa)
-                b = (i if vb == 0 else j, pb)
-                if op == "=":
-                    union(a, b)
-                else:
-                    strict.append((a, b))
+            ranks = ENDPOINT_RANKS[RELATIONS[row[j].bit_length() - 1]]
+            ends = sorted(zip(ranks, ((i, 0), (i, 1), (j, 0), (j, 1))))
+            # consecutive endpoints of the two intervals: tied or ordered
+            for (rank_a, a), (rank_b, b) in zip(ends, ends[1:]):
+                if a[0] != b[0]:
+                    if rank_a == rank_b:
+                        union(a, b)
+                    else:
+                        strict.append((a, b))
 
     edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
     indegree: dict[tuple[int, int], int] = {find(p): 0 for p in points}
@@ -342,9 +324,9 @@ def realize_scenario(s: Qcn) -> Schedule:
 
     for i in range(count):
         for j in range(i + 1, count):
-            want = RelationSet(s.constraints[i][j]).single()
             got = relation_between(schedule[s.variables[i]], schedule[s.variables[j]])
-            if got is not want:
+            if got.bit != s.constraints[i][j]:
+                want = RelationSet(s.constraints[i][j]).single()
                 raise UnrealizableScenarioError(
                     f"{s.variables[i]} {got.token} {s.variables[j]}, scenario wants {want.token}"
                 )

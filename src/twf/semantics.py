@@ -3,7 +3,9 @@
 This module enumerates bounded executions directly from the model theory
 and is deliberately naive: it serves as ground truth for the constraint
 solver, the rewrite rules and the composition table, so it must not share
-code paths with any of them.
+code paths with any of them.  It never calls composition or path
+consistency; of :mod:`twf.allen` it reads only the definition of the
+relations by endpoint order (``endpoint_relation``, ``ENDPOINT_RANKS``).
 
 An execution of a resolved (loop-free, choice-free) workflow assigns one
 closed rational interval of positive length to every atom occurrence.  Only
@@ -24,11 +26,19 @@ endpoints (orders with ties), maps order layers to the integer rationals
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .allen import Interval, Relation, RelationSet, relation_between
+from .allen import (
+    ENDPOINT_RANKS,
+    Interval,
+    Relation,
+    RelationSet,
+    endpoint_relation,
+    relation_between,
+)
 from .qcn import Qcn
 from .workflow import (
     Atomic,
@@ -169,22 +179,11 @@ def _sequence_conditions(resolved: Workflow) -> list[tuple[list[int], list[int]]
 def _iteration_contexts(
     instance: ResolvedInstance, loops: tuple[Path, ...]
 ) -> Iterator[dict[Path, int]]:
-    if not loops:
-        yield {}
-        return
+    """Every combination of iteration indexes of the loops, the first loop
+    outermost."""
     unrolls = instance.resolution.unrolls
-    counts = [unrolls[lp] for lp in loops]
-
-    def rec(i: int, ctx: dict[Path, int]) -> Iterator[dict[Path, int]]:
-        if i == len(loops):
-            yield dict(ctx)
-            return
-        for idx in range(counts[i]):
-            ctx[loops[i]] = idx
-            yield from rec(i + 1, ctx)
-        del ctx[loops[i]]
-
-    yield from rec(0, {})
+    for indexes in itertools.product(*(range(unrolls[lp]) for lp in loops)):
+        yield dict(zip(loops, indexes))
 
 
 def _constraint_obligations(
@@ -265,9 +264,10 @@ def check_model(
 # ---------------------------------------------------------------------------
 # Weak-order enumeration
 
-# A pruning check sees (layers, placed_mask, next_depth) after every layer
-# and answers: -1 the branch is dead, 0 undecided, 1 satisfied for good.
-Check = Callable[[list[int], int, int], int]
+# A pruning check sees (layers, placed_mask) after every layer and answers:
+# -1 the branch is dead, 0 undecided, 1 satisfied for good.  An unplaced
+# endpoint will land after every placed one.
+Check = Callable[[list[int], int], int]
 
 
 def weak_orders(
@@ -285,7 +285,7 @@ def weak_orders(
     """
     n = 2 * atom_count
     if n == 0:
-        if all(check([], 0, 0) == 1 for check in checks):
+        if all(check([], 0) == 1 for check in checks):
             yield ()
         return
     full = (1 << n) - 1
@@ -326,7 +326,7 @@ def weak_orders(
                 placed = full & ~rest
                 still: list[Check] = []
                 for check in pending:
-                    verdict = check(layers, placed, depth + 1)
+                    verdict = check(layers, placed)
                     if verdict < 0:
                         valid = False
                         break
@@ -339,72 +339,37 @@ def weak_orders(
     yield from rec(full, 0, list(checks))
 
 
-def _int_relation(lo1: int, hi1: int, lo2: int, hi2: int) -> Relation:
-    # relation_between on raw layer indices, for use during the search
-    if hi1 < lo2:
-        return Relation.BEFORE
-    if hi2 < lo1:
-        return Relation.AFTER
-    if hi1 == lo2:
-        return Relation.MEETS
-    if hi2 == lo1:
-        return Relation.MET_BY
-    if lo1 == lo2:
-        if hi1 == hi2:
-            return Relation.EQUALS
-        return Relation.STARTS if hi1 < hi2 else Relation.STARTED_BY
-    if lo1 < lo2:
-        if hi1 == hi2:
-            return Relation.FINISHED_BY
-        return Relation.CONTAINS if hi1 > hi2 else Relation.OVERLAPS
-    if hi1 == hi2:
-        return Relation.FINISHES
-    return Relation.DURING if hi1 < hi2 else Relation.OVERLAPPED_BY
+def _order(x: Optional[int], y: Optional[int]) -> Optional[int]:
+    """Sign of the comparison of two endpoints, None standing for unplaced.
 
-
-def _relation_signs() -> dict[Relation, tuple[int, int, int, int]]:
-    # Each relation corresponds to one sign pattern of the comparisons
-    # (lo1?lo2, hi1?hi2, hi1?lo2, lo1?hi2); derive the mapping once.
-    signs: dict[Relation, tuple[int, int, int, int]] = {}
-
-    def cmp(a: int, b: int) -> int:
-        return (a > b) - (a < b)
-
-    for lo1 in range(4):
-        for hi1 in range(lo1 + 1, 4):
-            for lo2 in range(4):
-                for hi2 in range(lo2 + 1, 4):
-                    rel = _int_relation(lo1, hi1, lo2, hi2)
-                    signs[rel] = (cmp(lo1, lo2), cmp(hi1, hi2), cmp(hi1, lo2), cmp(lo1, hi2))
-    return signs
-
-
-_SIGNS = _relation_signs()
-
-
-def _comparison_possible(sign: int, a: tuple[int, bool], b: tuple[int, bool]) -> bool:
-    """Can endpoints a and b still realize the required comparison sign?
-
-    Each endpoint is (value, exact); inexact values are lower bounds that
-    future layers can exceed arbitrarily.
+    An unplaced endpoint lands after every placed one, so the sign is
+    forced unless both are unplaced; then it is free (None).
     """
-    va, ea = a
-    vb, eb = b
-    if ea and eb:
-        return ((va > vb) - (va < vb)) == sign
-    if sign == 0:
-        if ea:
-            return va >= vb
-        if eb:
-            return vb >= va
-        return True
-    if sign < 0:  # need a < b
-        if eb and not ea:
-            return va < vb
-        return True
-    if ea and not eb:  # need a > b
-        return vb < va
-    return True
+    if x is None:
+        return None if y is None else 1
+    if y is None:
+        return -1
+    return (x > y) - (x < y)
+
+
+# The comparisons (lo1 ? lo2, hi1 ? hi2, hi1 ? lo2, lo1 ? hi2), as indexes
+# into (lo1, hi1, lo2, hi2); with lo < hi they fix the relation.
+_COMPARISONS = ((0, 2), (1, 3), (1, 2), (0, 3))
+
+
+def _agreeing() -> dict[tuple[Optional[int], ...], int]:
+    """Each pattern of the four comparisons, a free one as None, mapped to
+    the mask of the relations whose endpoint order agrees with it."""
+    table = dict.fromkeys(itertools.product((-1, 0, 1, None), repeat=4), 0)
+    for rel, ranks in ENDPOINT_RANKS.items():
+        # a relation agrees with its own signs, any of them freed
+        choices = [(_order(ranks[a], ranks[b]), None) for a, b in _COMPARISONS]
+        for pattern in itertools.product(*choices):
+            table[pattern] |= rel.bit
+    return table
+
+
+_AGREEING = _agreeing()
 
 
 # ---------------------------------------------------------------------------
@@ -439,44 +404,28 @@ def _search_plan(
 def _hull_relation_check(ai: list[int], aj: list[int], rels: RelationSet) -> Check:
     """A pruning check: the hulls over two atom sets must relate within rels.
 
-    Hull starts become exact as soon as one start is placed (later layers
-    are larger); hull ends stay lower-bounded until every end is placed.
-    A branch dies once no allowed relation can still be realized.
+    A hull start is placed with the first of its starts (later layers are
+    larger); a hull end only with the last of its ends.  The relations that
+    agree with the comparisons the placed endpoints force are the ones the
+    branch can still end in: none allowed kills it, all allowed settles it.
     """
     los_i = [2 * a for a in ai]
     his_i = [2 * a + 1 for a in ai]
     los_j = [2 * a for a in aj]
     his_j = [2 * a + 1 for a in aj]
-    allowed = [(_SIGNS[r], r) for r in rels]
+    ends_i = sum(1 << e for e in his_i)
+    ends_j = sum(1 << e for e in his_j)
+    allowed = rels.bits
 
-    def endpoint_min(points: list[int], layers: list[int], placed: int, bound: int) -> tuple[int, bool]:
-        values = [layers[e] for e in points if placed >> e & 1]
-        if values:
-            return min(values), True
-        return bound, False
-
-    def endpoint_max(points: list[int], layers: list[int], placed: int, bound: int) -> tuple[int, bool]:
-        if all(placed >> e & 1 for e in points):
-            return max(layers[e] for e in points), True
-        return bound, False
-
-    def check(layers: list[int], placed: int, bound: int) -> int:
-        l1 = endpoint_min(los_i, layers, placed, bound)
-        h1 = endpoint_max(his_i, layers, placed, bound)
-        l2 = endpoint_min(los_j, layers, placed, bound)
-        h2 = endpoint_max(his_j, layers, placed, bound)
-        if l1[1] and h1[1] and l2[1] and h2[1]:
-            rel = _int_relation(l1[0], h1[0], l2[0], h2[0])
-            return 1 if any(rel is r for _, r in allowed) else -1
-        for signs, _ in allowed:
-            if (
-                _comparison_possible(signs[0], l1, l2)
-                and _comparison_possible(signs[1], h1, h2)
-                and _comparison_possible(signs[2], h1, l2)
-                and _comparison_possible(signs[3], l1, h2)
-            ):
-                return 0
-        return -1
+    def check(layers: list[int], placed: int) -> int:
+        l1 = min([layers[e] for e in los_i if placed >> e & 1], default=None)
+        l2 = min([layers[e] for e in los_j if placed >> e & 1], default=None)
+        h1 = max([layers[e] for e in his_i]) if placed & ends_i == ends_i else None
+        h2 = max([layers[e] for e in his_j]) if placed & ends_j == ends_j else None
+        agreeing = _AGREEING[(_order(l1, l2), _order(h1, h2), _order(h1, l2), _order(l1, h2))]
+        if not agreeing & allowed:
+            return -1
+        return 0 if agreeing & ~allowed else 1
 
     return check
 
@@ -570,7 +519,7 @@ def network_scenario_relations_bruteforce(n: Qcn) -> dict[tuple[str, str], Relat
     if checks is not None:
         for layers in weak_orders(count, (), checks):
             for (i, j) in union:
-                rel = _int_relation(
+                rel = endpoint_relation(
                     layers[2 * i], layers[2 * i + 1], layers[2 * j], layers[2 * j + 1]
                 )
                 union[(i, j)] |= rel.bit

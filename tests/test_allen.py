@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twf.allen import (
     EMPTY,
+    ENDPOINT_RANKS,
     RELATIONS,
     UNIVERSAL,
     Interval,
@@ -17,6 +18,7 @@ from twf.allen import (
     compose,
     compose_sets,
     converse_mask,
+    endpoint_relation,
     generate_composition_table,
     interval,
     inverse,
@@ -94,6 +96,23 @@ class TestRelations:
     @settings(max_examples=200)
     def test_relation_inverse_swap(self, i, j):
         assert relation_between(j, i) is relation_between(i, j).inverse
+
+    def test_endpoint_ranks_follow_the_definition(self):
+        assert set(ENDPOINT_RANKS) == set(RELATIONS)
+        for rel, ranks in ENDPOINT_RANKS.items():
+            # dense: the ranks are 0, 1, ... with no gap
+            assert set(ranks) == set(range(max(ranks) + 1))
+            lo1, hi1, lo2, hi2 = ranks
+            assert holding_relations(interval(lo1, hi1), interval(lo2, hi2)) == [rel]
+
+    @given(
+        st.integers(-20, 20), st.integers(1, 10), st.integers(-20, 20), st.integers(1, 10)
+    )
+    @settings(max_examples=400)
+    def test_endpoint_relation_on_ints_agrees_with_fractions(self, lo1, width1, lo2, width2):
+        ends = (lo1, lo1 + width1, lo2, lo2 + width2)
+        i, j = interval(*ends[:2]), interval(*ends[2:])
+        assert endpoint_relation(*ends) is relation_between(i, j)
 
 
 class TestRelationSet:

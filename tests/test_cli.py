@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_error_exit(code, err):
+    """Exit code 2 with one `error:` line, never a traceback."""
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 class TestCheck:
     def test_satisfiable_file_exits_zero_with_witness(self, capsys):
         code, out, _ = run(capsys, "check", COUNTEREXAMPLE)
@@ -60,6 +67,20 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.twf")
         assert code == 2
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        latin = tmp_path / "latin.twf"
+        latin.write_bytes("workflow w = 'caf\u00e9'".encode("latin-1"))
+        code, _, err = run(capsys, "check", str(latin))
+        assert_error_exit(code, err)
+        assert "latin.twf" in err
+
+    def test_unroll_bound_below_one_exits_two(self, capsys):
+        for bound in ("0", "-1"):
+            code, out, err = run(capsys, "check", RECETTE, "--unroll-bound", bound)
+            assert_error_exit(code, err)
+            assert "--unroll-bound" in err
+            assert out == ""
 
     def test_budget_error_exits_two(self, tmp_path, capsys):
         big = tmp_path / "big.twf"
@@ -146,6 +167,12 @@ class TestTextTransforms:
         assert code == 0
         assert target.read_text(encoding="utf-8").startswith('digraph "fig2b"')
 
+    def test_dot_into_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.dot"
+        code, _, err = run(capsys, "dot", FIG2B, "-o", str(target))
+        assert_error_exit(code, err)
+        assert not target.parent.exists()
+
 
 class TestTable:
     def test_verify_reports_full_match(self, capsys):
@@ -166,6 +193,13 @@ class TestOracleVerify:
         assert code == 0
         assert "0 disagreements" in out
         assert "result: ok" in out
+
+    def test_instances_below_one_exits_two(self, capsys):
+        for instances in ("0", "-1"):
+            code, out, err = run(capsys, "oracle-verify", "--instances", instances)
+            assert_error_exit(code, err)
+            assert "--instances" in err
+            assert out == ""
 
 
 class TestDeterminism:

@@ -4,10 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_extended, rand_workflow
 from twf import semantics
-from twf.allen import Interval, RelationSet, interval
+from twf.allen import RELATIONS, Interval, RelationSet, interval, relation_between
 from twf.extended import variable_paths
 from twf.qcn import Qcn
 from twf.semantics import (
@@ -18,6 +20,7 @@ from twf.semantics import (
     execution_times,
     find_model,
     hull,
+    network_models_bruteforce,
     weak_orders,
 )
 from twf.workflow import (
@@ -74,6 +77,43 @@ class TestWeakOrders:
 
     def test_deterministic(self):
         assert list(weak_orders(2)) == list(weak_orders(2))
+
+
+@st.composite
+def small_networks(draw):
+    """Networks of at most three variables; a diagonal may be constrained."""
+    rels = st.sets(st.sampled_from(RELATIONS), min_size=1, max_size=6).map(
+        lambda chosen: RelationSet.of(*chosen)
+    )
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    network = Qcn.universal(names)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if draw(st.booleans()):
+                network = network.set_constraint(a, b, draw(rels))
+    if draw(st.integers(0, 5)) == 0:
+        v = draw(st.sampled_from(names))
+        network = network.set_constraint(v, v, draw(rels))
+    return network
+
+
+@given(small_networks())
+@settings(max_examples=150, deadline=None)
+def test_pruned_network_search_keeps_exactly_the_models(network):
+    # the unpruned enumeration, filtered entry by entry (diagonal included)
+    names = network.variables
+    expected = []
+    for layers in weak_orders(len(names)):
+        model = {
+            name: interval(layers[2 * k], layers[2 * k + 1]) for k, name in enumerate(names)
+        }
+        if all(
+            relation_between(model[vi], model[vj]) in network.get(vi, vj)
+            for vi in names
+            for vj in names
+        ):
+            expected.append(model)
+    assert list(network_models_bruteforce(network)) == expected
 
 
 def sequence_le_pairs(instance, consecutive_only):
