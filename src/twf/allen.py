@@ -69,23 +69,6 @@ _INDEX = {r: i for i, r in enumerate(RELATIONS)}
 _BY_TOKEN = {r.value: r for r in RELATIONS}
 _ALL_BITS = (1 << len(RELATIONS)) - 1
 
-_INVERSE = {
-    Relation.BEFORE: Relation.AFTER,
-    Relation.AFTER: Relation.BEFORE,
-    Relation.MEETS: Relation.MET_BY,
-    Relation.MET_BY: Relation.MEETS,
-    Relation.OVERLAPS: Relation.OVERLAPPED_BY,
-    Relation.OVERLAPPED_BY: Relation.OVERLAPS,
-    Relation.STARTS: Relation.STARTED_BY,
-    Relation.STARTED_BY: Relation.STARTS,
-    Relation.DURING: Relation.CONTAINS,
-    Relation.CONTAINS: Relation.DURING,
-    Relation.FINISHES: Relation.FINISHED_BY,
-    Relation.FINISHED_BY: Relation.FINISHES,
-    Relation.EQUALS: Relation.EQUALS,
-}
-
-
 @dataclass(frozen=True)
 class RelationSet:
     """A subset of the 13 basic relations stored as a fixed-width bit mask.
@@ -226,6 +209,12 @@ ENDPOINT_RANKS: dict[Relation, tuple[int, int, int, int]] = {
     if ends[0] < ends[1] and ends[2] < ends[3]
 }
 
+# The inverse relation holds with the two intervals swapped.
+_INVERSE = {
+    rel: endpoint_relation(lo2, hi2, lo1, hi1)
+    for rel, (lo1, hi1, lo2, hi2) in ENDPOINT_RANKS.items()
+}
+
 
 def inverse(r: Relation) -> Relation:
     return r.inverse
@@ -238,12 +227,12 @@ def inverse_set(rels: RelationSet) -> RelationSet:
 def generate_composition_table() -> dict[tuple[Relation, Relation], RelationSet]:
     """Derive the 13x13 composition table by brute-force enumeration.
 
-    Six endpoints need at most six distinct values, so integer coordinates
-    0..8 realize every order type of three intervals.  Every interval
+    Six endpoints take at most six distinct values, so integer coordinates
+    0..5 realize every order type of three intervals.  Every interval
     triple on that grid contributes its (i,j)/(j,k)/(i,k) relations, which
     both populates each entry and witnesses each of its members.
     """
-    grid = [interval(a, b) for a in range(9) for b in range(a + 1, 9)]
+    grid = [interval(a, b) for a in range(6) for b in range(a + 1, 6)]
     n = len(grid)
     rel = [[relation_between(grid[x], grid[y]) for y in range(n)] for x in range(n)]
     bits: dict[tuple[Relation, Relation], int] = {

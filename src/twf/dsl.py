@@ -125,8 +125,11 @@ def _tokenize(text: str) -> Iterator[Token]:
             while i < n and text[i] != quote:
                 if text[i] == "\\" and i + 1 < n:
                     parts.append(text[i + 1])
+                    if text[i + 1] == "\n":
+                        line, col = line + 1, 1
+                    else:
+                        col += 2
                     i += 2
-                    col += 2
                 elif text[i] == "\n":
                     break
                 else:
@@ -380,7 +383,7 @@ def parse_extended(text: str) -> ExtendedWorkflow:
 def _quote(name: str) -> str:
     if _IDENT_RE.fullmatch(name) and name not in RESERVED:
         return name
-    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
+    escaped = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\\n")
     return f"'{escaped}'"
 
 

@@ -29,10 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .allen import (
     ENDPOINT_RANKS,
+    UNIVERSAL,
     Interval,
     Relation,
     RelationSet,
@@ -264,40 +265,59 @@ def check_model(
 # ---------------------------------------------------------------------------
 # Weak-order enumeration
 
-# A pruning check sees (layers, placed_mask) after every layer and answers:
-# -1 the branch is dead, 0 undecided, 1 satisfied for good.  An unplaced
-# endpoint will land after every placed one.
-Check = Callable[[list[int], int], int]
+# A hull obligation (starts_i, ends_i, starts_j, ends_j, allowed): bit masks
+# of the start and end endpoints of two non-empty atom sets, and the mask of
+# the relations allowed between the hulls of the two sets.
+Hull = tuple[int, int, int, int, int]
+
+
+def _next_group_table() -> list[list[int]]:
+    """For each set of hull endpoints (lo1, hi1, lo2, hi2 as bits 0..3)
+    already placed and each group placed next, tied, the mask of the
+    relations whose endpoint order puts exactly that group next."""
+    table = [[0] * 16 for _ in range(16)]
+    for rel, ranks in ENDPOINT_RANKS.items():
+        placed = 0
+        for rank in range(max(ranks) + 1):
+            group = sum(1 << k for k, r in enumerate(ranks) if r == rank)
+            table[placed][group] |= rel.bit
+            placed |= group
+    return table
+
+
+_NEXT_GROUP = _next_group_table()
 
 
 def weak_orders(
     atom_count: int,
     le_pairs: Sequence[tuple[int, int]] = (),
-    checks: Sequence[Check] = (),
+    hulls: Sequence[Hull] = (),
 ) -> Iterator[tuple[int, ...]]:
     """All weak orders of the 2m atom endpoints, as layer assignments.
 
     Endpoint 2a is the start of atom a and endpoint 2a+1 its end; a start
     always lies strictly before its end.  ``le_pairs`` (x, y) additionally
-    force layer[x] <= layer[y].  ``checks`` prune branches early (see
-    Check above); a complete assignment is only yielded once every check
-    returned 1.  Enumeration order is deterministic.
+    force layer[x] <= layer[y], and only orders under which every hull
+    obligation (see Hull above) holds are yielded.  Enumeration order is
+    deterministic.
     """
     n = 2 * atom_count
-    if n == 0:
-        if all(check([], 0) == 1 for check in checks):
-            yield ()
-        return
     full = (1 << n) - 1
     preds = [0] * n
     for x, y in le_pairs:
         preds[y] |= 1 << x
     layers = [0] * n
 
-    def rec(remaining: int, depth: int, pending: list[Check]) -> Iterator[tuple[int, ...]]:
+    # A pending obligation also carries which of its four hull endpoints
+    # are placed and the relations still possible.  A hull starts with the
+    # first of its starts and ends with the last of its ends; once all four
+    # are placed one relation is possible, so no obligation outlives the
+    # last layer.
+    def rec(
+        remaining: int, depth: int, pending: list[tuple[int, ...]]
+    ) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            if not pending:
-                yield tuple(layers)
+            yield tuple(layers)
             return
         allowed = 0
         rem = remaining
@@ -324,52 +344,29 @@ def weak_orders(
                     layers[bit.bit_length() - 1] = depth
                     chosen ^= bit
                 placed = full & ~rest
-                still: list[Check] = []
-                for check in pending:
-                    verdict = check(layers, placed)
-                    if verdict < 0:
+                still = []
+                for obligation in pending:
+                    s1, e1, s2, e2, rels, done, possible = obligation
+                    now = (
+                        (s1 & placed != 0)
+                        | (e1 & placed == e1) << 1
+                        | (s2 & placed != 0) << 2
+                        | (e2 & placed == e2) << 3
+                    )
+                    if now == done:
+                        still.append(obligation)
+                        continue
+                    possible &= _NEXT_GROUP[done][now ^ done]
+                    if not possible & rels:
                         valid = False
                         break
-                    if verdict == 0:
-                        still.append(check)
+                    if possible & ~rels:
+                        still.append((s1, e1, s2, e2, rels, now, possible))
                 if valid:
                     yield from rec(rest, depth + 1, still)
             sub = (sub - 1) & allowed
 
-    yield from rec(full, 0, list(checks))
-
-
-def _order(x: Optional[int], y: Optional[int]) -> Optional[int]:
-    """Sign of the comparison of two endpoints, None standing for unplaced.
-
-    An unplaced endpoint lands after every placed one, so the sign is
-    forced unless both are unplaced; then it is free (None).
-    """
-    if x is None:
-        return None if y is None else 1
-    if y is None:
-        return -1
-    return (x > y) - (x < y)
-
-
-# The comparisons (lo1 ? lo2, hi1 ? hi2, hi1 ? lo2, lo1 ? hi2), as indexes
-# into (lo1, hi1, lo2, hi2); with lo < hi they fix the relation.
-_COMPARISONS = ((0, 2), (1, 3), (1, 2), (0, 3))
-
-
-def _agreeing() -> dict[tuple[Optional[int], ...], int]:
-    """Each pattern of the four comparisons, a free one as None, mapped to
-    the mask of the relations whose endpoint order agrees with it."""
-    table = dict.fromkeys(itertools.product((-1, 0, 1, None), repeat=4), 0)
-    for rel, ranks in ENDPOINT_RANKS.items():
-        # a relation agrees with its own signs, any of them freed
-        choices = [(_order(ranks[a], ranks[b]), None) for a, b in _COMPARISONS]
-        for pattern in itertools.product(*choices):
-            table[pattern] |= rel.bit
-    return table
-
-
-_AGREEING = _agreeing()
+    yield from rec(full, 0, [(*h, 0, UNIVERSAL.bits) for h in hulls])
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +377,8 @@ def _search_plan(
     instance: ResolvedInstance,
     network: Qcn | None,
     var_paths: Mapping[str, Path],
-) -> Optional[tuple[list[tuple[int, int]], list[Check]]]:
-    """Sequence orderings and constraint checks for one instance, or None
+) -> Optional[tuple[list[tuple[int, int]], list[Hull]]]:
+    """Sequence orderings and hull obligations for one instance, or None
     when the instance cannot have any model."""
     occ_index = {a.occ: i for i, a in enumerate(instance.atoms)}
     le_pairs: list[tuple[int, int]] = []
@@ -389,7 +386,7 @@ def _search_plan(
         for lo in left:
             for ro in right:
                 le_pairs.append((2 * occ_index[lo] + 1, 2 * occ_index[ro]))
-    checks: list[Check] = []
+    hulls: list[Hull] = []
     if network is not None:
         obligations = _constraint_obligations(instance, network, var_paths)
         if obligations is None:
@@ -397,37 +394,15 @@ def _search_plan(
         for occs_i, occs_j, rels in obligations:
             ai = [occ_index[o] for o in occs_i]
             aj = [occ_index[o] for o in occs_j]
-            checks.append(_hull_relation_check(ai, aj, rels))
-    return le_pairs, checks
+            hulls.append(_hull_obligation(ai, aj, rels))
+    return le_pairs, hulls
 
 
-def _hull_relation_check(ai: list[int], aj: list[int], rels: RelationSet) -> Check:
-    """A pruning check: the hulls over two atom sets must relate within rels.
-
-    A hull start is placed with the first of its starts (later layers are
-    larger); a hull end only with the last of its ends.  The relations that
-    agree with the comparisons the placed endpoints force are the ones the
-    branch can still end in: none allowed kills it, all allowed settles it.
-    """
-    los_i = [2 * a for a in ai]
-    his_i = [2 * a + 1 for a in ai]
-    los_j = [2 * a for a in aj]
-    his_j = [2 * a + 1 for a in aj]
-    ends_i = sum(1 << e for e in his_i)
-    ends_j = sum(1 << e for e in his_j)
-    allowed = rels.bits
-
-    def check(layers: list[int], placed: int) -> int:
-        l1 = min([layers[e] for e in los_i if placed >> e & 1], default=None)
-        l2 = min([layers[e] for e in los_j if placed >> e & 1], default=None)
-        h1 = max([layers[e] for e in his_i]) if placed & ends_i == ends_i else None
-        h2 = max([layers[e] for e in his_j]) if placed & ends_j == ends_j else None
-        agreeing = _AGREEING[(_order(l1, l2), _order(h1, h2), _order(h1, l2), _order(l1, h2))]
-        if not agreeing & allowed:
-            return -1
-        return 0 if agreeing & ~allowed else 1
-
-    return check
+def _hull_obligation(ai: list[int], aj: list[int], rels: RelationSet) -> Hull:
+    """The hulls over two atom sets must relate within rels."""
+    starts_i = sum(1 << 2 * a for a in ai)
+    starts_j = sum(1 << 2 * a for a in aj)
+    return starts_i, starts_i << 1, starts_j, starts_j << 1, rels.bits
 
 
 def find_model(
@@ -459,8 +434,8 @@ def find_model(
         plan = _search_plan(instance, network, var_paths)
         if plan is None:
             continue
-        le_pairs, checks = plan
-        for layers in weak_orders(len(instance.atoms), le_pairs, checks):
+        le_pairs, hulls = plan
+        for layers in weak_orders(len(instance.atoms), le_pairs, hulls):
             assignment = {
                 a.occ: Interval(Fraction(layers[2 * i]), Fraction(layers[2 * i + 1]))
                 for i, a in enumerate(instance.atoms)
@@ -480,12 +455,12 @@ def find_model(
 # Network-level brute force (independent cross-check of the solver)
 
 
-def _network_checks(n: Qcn) -> Optional[list[Check]]:
+def _network_hulls(n: Qcn) -> Optional[list[Hull]]:
     for _, rels in n.degenerate_diagonal():
         if Relation.EQUALS not in rels:
             return None
     return [
-        _hull_relation_check([n.index(vi)], [n.index(vj)], rels)
+        _hull_obligation([n.index(vi)], [n.index(vj)], rels)
         for vi, vj, rels in n.nontrivial_pairs()
     ]
 
@@ -497,10 +472,10 @@ def network_models_bruteforce(n: Qcn) -> Iterator[dict[str, Interval]]:
     satisfying every constraint; never touches composition tables or path
     consistency, so it can arbitrate for the solver.
     """
-    checks = _network_checks(n)
-    if checks is None:
+    hulls = _network_hulls(n)
+    if hulls is None:
         return
-    for layers in weak_orders(len(n.variables), (), checks):
+    for layers in weak_orders(len(n.variables), (), hulls):
         yield {
             name: Interval(Fraction(layers[2 * i]), Fraction(layers[2 * i + 1]))
             for i, name in enumerate(n.variables)
@@ -515,9 +490,9 @@ def network_scenario_relations_bruteforce(n: Qcn) -> dict[tuple[str, str], Relat
     """Per-edge union of relations over every solution of the network."""
     count = len(n.variables)
     union = {(i, j): 0 for i in range(count) for j in range(i + 1, count)}
-    checks = _network_checks(n)
-    if checks is not None:
-        for layers in weak_orders(count, (), checks):
+    hulls = _network_hulls(n)
+    if hulls is not None:
+        for layers in weak_orders(count, (), hulls):
             for (i, j) in union:
                 rel = endpoint_relation(
                     layers[2 * i], layers[2 * i + 1], layers[2 * j], layers[2 * j + 1]

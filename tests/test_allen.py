@@ -27,7 +27,16 @@ from twf.allen import (
 )
 
 # Independent endpoint-level definitions of the seven base relations; the
-# other six are their inverses.  Used as the oracle for partition checks.
+# other six are their inverses, the base relation with the intervals
+# swapped.  Used as the oracle for partition checks.
+_INVERSES = {
+    Relation.AFTER: Relation.BEFORE,
+    Relation.MET_BY: Relation.MEETS,
+    Relation.OVERLAPPED_BY: Relation.OVERLAPS,
+    Relation.STARTED_BY: Relation.STARTS,
+    Relation.CONTAINS: Relation.DURING,
+    Relation.FINISHED_BY: Relation.FINISHES,
+}
 _DEFS = {
     Relation.BEFORE: lambda i, j: i.hi < j.lo,
     Relation.MEETS: lambda i, j: i.hi == j.lo,
@@ -45,7 +54,7 @@ def holding_relations(i: Interval, j: Interval) -> list[Relation]:
         if rel in _DEFS:
             if _DEFS[rel](i, j):
                 out.append(rel)
-        elif _DEFS[rel.inverse](j, i):
+        elif _DEFS[_INVERSES[rel]](j, i):
             out.append(rel)
     return out
 
@@ -68,6 +77,12 @@ class TestRelations:
     def test_inverse_is_involution(self):
         for rel in RELATIONS:
             assert rel.inverse.inverse is rel
+
+    def test_inverse_matches_the_stated_pairs(self):
+        assert Relation.EQUALS.inverse is Relation.EQUALS
+        for rel, base in _INVERSES.items():
+            assert rel.inverse is base
+            assert base.inverse is rel
 
     def test_inverse_examples(self):
         assert inverse(Relation.BEFORE) is Relation.AFTER

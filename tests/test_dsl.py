@@ -124,6 +124,8 @@ class TestParse:
             "workflow",
             "workflow w = a -> b constraints { a {b,} b; }",
             "workflow w = @",
+            # an escaped newline inside a quoted name starts a new line
+            "workflow w = 'a\\\nb' -> @",
         ]
         for text in cases:
             with pytest.raises(ParseError) as info:
@@ -216,13 +218,18 @@ class TestRoundTrip:
         assert list(reparsed.network.degenerate_diagonal())
 
     def test_quoting_edge_cases(self):
-        ew = parse_extended(r"""workflow w = 'a\'b' -> 'x\\y' -> "double \" quote" """)
-        names = [n.name for _, n in iter_nodes(ew.workflow) if isinstance(n, Atomic)]
-        assert names == ["a'b", "x\\y", 'double " quote']
-        printed = format_document(ew, "w")
-        reparsed = parse_extended(printed)
-        got = [n.name for _, n in iter_nodes(reparsed.workflow) if isinstance(n, Atomic)]
-        assert got == names
+        cases = [
+            (r"""workflow w = 'a\'b' -> 'x\\y' -> "double \" quote" """, ["a'b", "x\\y", 'double " quote']),
+            ("workflow w = 'a\\\nb' -> c", ["a\nb", "c"]),
+        ]
+        for text, expected in cases:
+            ew = parse_extended(text)
+            names = [n.name for _, n in iter_nodes(ew.workflow) if isinstance(n, Atomic)]
+            assert names == expected
+            printed = format_document(ew, "w")
+            reparsed = parse_extended(printed)
+            got = [n.name for _, n in iter_nodes(reparsed.workflow) if isinstance(n, Atomic)]
+            assert got == names
 
 
 VALID_DOT_NODE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

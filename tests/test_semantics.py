@@ -4,10 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_extended, rand_workflow
+from conftest import loop_context, rand_extended, rand_workflow, workflow_strategy
 from twf import semantics
 from twf.allen import RELATIONS, Interval, RelationSet, interval, relation_between
 from twf.extended import variable_paths
@@ -114,6 +114,48 @@ def test_pruned_network_search_keeps_exactly_the_models(network):
         ):
             expected.append(model)
     assert list(network_models_bruteforce(network)) == expected
+
+
+@st.composite
+def hull_constrained_trees(draw):
+    """A tree, two of its nodes in one loop context (atoms, groups, choices
+    or loops) and a random relation set constraining their hulls."""
+    tree = rename_occurrences(draw(workflow_strategy(max_leaves=3)))
+    by_context: dict[tuple, list] = {}
+    for path, _ in iter_nodes(tree):
+        by_context.setdefault(loop_context(tree, path), []).append(path)
+    groups = [group for group in by_context.values() if len(group) > 1]
+    assume(groups)
+    nodes = draw(st.sampled_from(groups))
+    left, right = draw(st.permutations(nodes))[:2]
+    rels = draw(st.sets(st.sampled_from(RELATIONS), max_size=13))
+    network = Qcn.universal(("x", "y")).set_constraint("x", "y", RelationSet.of(*rels))
+    return tree, network, {"x": left, "y": right}
+
+
+@given(hull_constrained_trees())
+@settings(max_examples=100, deadline=None)
+def test_hull_obligations_keep_exactly_the_models(case):
+    tree, network, var_paths = case
+    for instance in enumerate_instances(tree, 2):
+        m = len(instance.atoms)
+        if m > 3:
+            continue
+        le_pairs, hulls = semantics._search_plan(instance, network, var_paths)
+        expected = [
+            layers
+            for layers in weak_orders(m, le_pairs)
+            if check_model(
+                instance,
+                {
+                    a.occ: interval(layers[2 * k], layers[2 * k + 1])
+                    for k, a in enumerate(instance.atoms)
+                },
+                network,
+                var_paths,
+            )
+        ]
+        assert list(weak_orders(m, le_pairs, hulls)) == expected
 
 
 def sequence_le_pairs(instance, consecutive_only):
