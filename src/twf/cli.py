@@ -59,6 +59,11 @@ def _has_loops(ew: ExtendedWorkflow) -> bool:
     return any(isinstance(n, Loop) for _, n in iter_nodes(ew.workflow))
 
 
+def _shown(name: str) -> str:
+    """A name as one line of a text report: backslash and newline escaped."""
+    return name.replace("\\", "\\\\").replace("\n", "\\n")
+
+
 def _witness_rows(model: Model) -> list[dict[str, str]]:
     names: dict[str, int] = {}
     for atom in model.instance.atoms:
@@ -100,7 +105,7 @@ def _emit_verdict(
         if witness:
             print("witness schedule:")
             for row in witness:
-                print(f"    {row['activity']} [{row['start']}, {row['end']}]")
+                print(f"    {_shown(row['activity'])} [{row['start']}, {row['end']}]")
     return 0 if verdict else 1
 
 
@@ -156,11 +161,11 @@ def _cmd_scenario(args) -> int:
         return 2
     print("scenario:")
     for vi, vj, rels in scenario.nontrivial_pairs():
-        print(f"    {vi} {{{rels.single().token}}} {vj}")
+        print(f"    {_shown(vi)} {{{rels.single().token}}} {_shown(vj)}")
     print("schedule:")
     for name in scenario.variables:
         iv = schedule[name]
-        print(f"    {name} [{iv.lo}, {iv.hi}]")
+        print(f"    {_shown(name)} [{iv.lo}, {iv.hi}]")
     return 0
 
 

@@ -455,7 +455,7 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
     anchor: dict[Path, str] = {}
 
     def esc(text: str) -> str:
-        return text.replace("\\", "\\\\").replace('"', '\\"')
+        return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
     def walk(node: Workflow, path: Path) -> tuple[str, str]:
         # Ids are numbered like the nodes of the binary expansion in

@@ -498,6 +498,25 @@ _REWRITE_STEPS = 6
 _MAX_STATES = 4000
 
 
+def _order_facts(w: Workflow) -> tuple[set[str], set[tuple[str, str]]]:
+    """The atom names of w and the name pairs it orders: (x, y) when some
+    sequence has an atom named x in an earlier part than one named y."""
+    pairs: set[tuple[str, str]] = set()
+
+    def names(node: Workflow) -> set[str]:
+        if isinstance(node, Atomic):
+            return {node.name}
+        below: set[str] = set()
+        for kid in children(node):
+            inside = names(kid)
+            if isinstance(node, Seq):
+                pairs.update(itertools.product(below, inside))
+            below |= inside
+        return below
+
+    return names(w), pairs
+
+
 def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
     """Is every execution of w1 an execution of w2, by rewrite search?
 
@@ -507,13 +526,26 @@ def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
     compared by fingerprint, so occurrence ids are never renumbered.
     Exhausting the step budget or the state cap yields UNKNOWN, never a
     negative claim.
+
+    No rewrite and no normalization step adds an atom name or an ordered
+    name pair (see ``_order_facts``): grouping a sequence into a
+    conjunction drops the pairs across the cut, absorbing into a loop
+    deletes parts, wrapping in a loop keeps every sequence, and flattening,
+    sorting, deduplicating and collapsing add nothing.  So every state the
+    search reaches has a subset of the start's names and pairs, and a goal
+    outside them is answered UNKNOWN at once; that is exactly the answer
+    the exhausted search would give.
     """
-    goal = fingerprint(_norm(w2))
+    target = _norm(w2)
+    goal = fingerprint(target)
     start = _norm(w1)
     seen = {fingerprint(start)}
     frontier = [start]
     if fingerprint(start) == goal:
         return SubsumptionVerdict.HOLDS
+    (names1, pairs1), (names2, pairs2) = _order_facts(start), _order_facts(target)
+    if not (names2 <= names1 and pairs2 <= pairs1):
+        return SubsumptionVerdict.UNKNOWN
     for _ in range(_REWRITE_STEPS):
         next_frontier: list[Workflow] = []
         for state in frontier:

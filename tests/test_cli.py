@@ -174,6 +174,35 @@ class TestTextTransforms:
         assert not target.parent.exists()
 
 
+class TestNamesInReports:
+    # 'a\<newline>b' names an activity holding a newline: the reports keep
+    # one atom a line, printing a backslash as \\ and a newline as \n
+    def test_newline_in_a_name_stays_on_its_line(self, tmp_path, capsys):
+        doc = tmp_path / "nl.twf"
+        doc.write_text("workflow w = 'a\\\nb' -> c\n", encoding="utf-8")
+        assert run(capsys, "check", str(doc)) == (
+            0,
+            "satisfiable: yes\nwitness schedule:\n    a\\nb [0, 1]\n    c [1, 2]\n",
+            "",
+        )
+        assert run(capsys, "scenario", str(doc)) == (
+            0,
+            "scenario:\n    a\\nb {b} c\nschedule:\n    a\\nb [0, 1]\n    c [2, 3]\n",
+            "",
+        )
+        code, out, _ = run(capsys, "dot", str(doc))
+        assert code == 0
+        assert '[label="a\\nb", shape=box, style=rounded];' in out
+        assert "a\nb" not in out
+
+    def test_repeated_names_keep_their_suffix(self, tmp_path, capsys):
+        doc = tmp_path / "rep.twf"
+        doc.write_text("workflow w = 'a\\\nb' -> 'a\\\nb' -> 'p\\\\q'\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(doc))
+        assert code == 0
+        assert out.splitlines()[2:] == ["    a\\nb#1 [0, 1]", "    a\\nb#2 [1, 2]", "    p\\\\q [2, 3]"]
+
+
 class TestTable:
     def test_verify_reports_full_match(self, capsys):
         code, out, _ = run(capsys, "table", "--verify")

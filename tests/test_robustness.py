@@ -75,6 +75,16 @@ class TestLargeInputs:
         assert sum(line.endswith(";") for line in lines) == 1499
         assert "    a1498 {b, m} a1499;" in lines
 
+    def test_subsumes_reversed_long_chain(self, tmp_path):
+        # the reversed order is refuted before the rewrite search starts
+        steps = [f"a{i}" for i in range(300)]
+        chain = write(tmp_path, f"workflow c = {' -> '.join(steps)}\n", "chain.twf")
+        reverse = write(tmp_path, f"workflow c = {' -> '.join(reversed(steps))}\n", "reverse.twf")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["subsumes", str(chain), str(reverse)])
+        assert (code, out.getvalue()) == (1, "unknown\n")
+
     def test_wide_group_with_constraints(self, tmp_path):
         path = write(tmp_path, constrained_group_text(1500))
         code, out, _ = run(path, "normalize")

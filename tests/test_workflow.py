@@ -6,8 +6,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import executions_included, rand_workflow, workflow_strategy
+from twf import workflow
 from twf.workflow import (
     Atomic,
     Conj,
@@ -17,6 +19,9 @@ from twf.workflow import (
     Resolution,
     Seq,
     SubsumptionVerdict,
+    _generalizations,
+    _norm,
+    _order_facts,
     atom,
     atoms,
     children,
@@ -29,6 +34,7 @@ from twf.workflow import (
     node_at,
     normalize,
     proper_subworkflows,
+    relabel,
     rename_occurrences,
     resolutions,
     resolve_traced,
@@ -38,6 +44,27 @@ from twf.workflow import (
     subworkflows,
     unroll,
 )
+
+
+@st.composite
+def labelled_workflows(draw, max_leaves=5):
+    """Random workflows with loops, up to two of whose nodes carry a label."""
+    w = draw(workflow_strategy(max_leaves=max_leaves))
+    paths = draw(st.sets(st.sampled_from([p for p, _ in iter_nodes(w)]), max_size=2))
+    return relabel(w, {p: f"L{k}" for k, p in enumerate(sorted(paths))})
+
+
+def count_generalizations(monkeypatch):
+    """Count the states the subsumption search expands."""
+    calls = [0]
+    original = workflow._generalizations
+
+    def counted(w):
+        calls[0] += 1
+        return original(w)
+
+    monkeypatch.setattr(workflow, "_generalizations", counted)
+    return calls
 
 
 def shapes(w, bound):
@@ -394,13 +421,56 @@ class TestSubsumption:
         w2 = rename_occurrences(Loop(Conj((inner2, atom("c")))))
         assert subsumes_syntactic(w1, w2) is SubsumptionVerdict.HOLDS
 
-    def test_search_uses_up_no_occurrence_ids(self):
-        # the reversed chain is never reached, so every state is visited
+    def test_search_uses_up_no_occurrence_ids(self, monkeypatch):
+        # neither goal is ever reached; the reversed chain is refuted by
+        # order, the choice keeps the chain's names and orders but no rule
+        # makes a disjunction, so there every state is visited
         steps = [atom(f"s{i}") for i in range(5)]
-        chain, reverse = seq(*steps), seq(*reversed(steps))
-        before = fresh_occ()
-        assert subsumes_syntactic(chain, reverse) is SubsumptionVerdict.UNKNOWN
-        assert fresh_occ() == before + 1
+        reversed_chain = (seq(*steps), seq(*reversed(steps)))
+        choice_first = (seq(*steps[:4]), seq(disj(steps[0], steps[1]), steps[2], steps[3]))
+        searched = count_generalizations(monkeypatch)
+        for chain, goal in (reversed_chain, choice_first):
+            before = fresh_occ()
+            assert subsumes_syntactic(chain, goal) is SubsumptionVerdict.UNKNOWN
+            assert fresh_occ() == before + 1
+        assert searched[0] > 1000
+
+    def test_reversed_chain_is_refuted_before_the_search(self, monkeypatch):
+        steps = [atom(f"s{i}") for i in range(5)]
+        searched = count_generalizations(monkeypatch)
+        verdict = subsumes_syntactic(seq(*steps), seq(*reversed(steps)))
+        assert verdict is SubsumptionVerdict.UNKNOWN
+        assert searched == [0]
+
+    def test_order_facts_of_a_sequence(self):
+        w = rename_occurrences(seq(atom("a"), conj(atom("b"), atom("c")), loop(seq(atom("d"), atom("a")))))
+        names, pairs = _order_facts(w)
+        assert names == set("abcd")
+        assert pairs == {
+            ("a", "b"), ("a", "c"), ("a", "d"), ("a", "a"),
+            ("b", "d"), ("b", "a"), ("c", "d"), ("c", "a"), ("d", "a"),
+        }
+
+    @given(labelled_workflows())
+    @settings(max_examples=150, deadline=None)
+    def test_rewrites_add_no_name_and_no_ordered_pair(self, w):
+        # the lemma the refutation rests on, one search step at a time
+        names, pairs = _order_facts(w)
+        start = _norm(w)
+        assert _order_facts(start) == (names, pairs)
+        for candidate in _generalizations(start):
+            more_names, more_pairs = _order_facts(_norm(candidate))
+            assert more_names <= names and more_pairs <= pairs
+
+    @given(labelled_workflows(max_leaves=4), st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_goals_reached_by_rewrites_hold(self, w, picks):
+        # the refutation never blocks a goal the search reaches
+        goal = _norm(w)
+        for pick in picks:
+            candidates = list(_generalizations(goal))
+            goal = _norm(candidates[pick % len(candidates)])
+        assert subsumes_syntactic(w, goal) is SubsumptionVerdict.HOLDS
 
     def test_holds_is_sound_for_bounded_executions(self, rng):
         # every Holds verdict is confirmed by the execution-inclusion oracle
