@@ -20,17 +20,29 @@ from .dsl import ParseError, export_dot, format_document, parse
 from .extended import (
     ExtendedWorkflow,
     InvalidExtendedWorkflowError,
+    refutes_plan,
     sequence_free,
     variable_paths,
 )
-from .qcn import Qcn, check_schedule, is_consistent, path_consistency, realize_scenario, scenarios
+from .qcn import (
+    Qcn,
+    check_schedule,
+    entails,
+    is_consistent,
+    path_consistency,
+    realize_scenario,
+    scenarios,
+)
 from .semantics import (
     AtomBudgetError,
     Model,
     check_model,
     find_model,
+    hull_obligation,
     network_consistent_bruteforce,
+    network_models_bruteforce,
     network_scenario_relations_bruteforce,
+    weak_orders,
 )
 from .workflow import Loop, iter_nodes
 
@@ -122,7 +134,9 @@ def _cmd_check(args) -> int:
     ew = doc.extended
     paths = variable_paths(ew)
     try:
-        model = find_model(ew.workflow, ew.network, paths, unroll_bound=args.unroll_bound)
+        model = find_model(
+            ew.workflow, ew.network, paths, unroll_bound=args.unroll_bound, refute=refutes_plan
+        )
     except AtomBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,13 +257,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _random_network(rng: random.Random, size: int, tightness: float = 0.6) -> Qcn:
+def _random_network(rng: random.Random, size: int, tightness: float = 0.6, widest: int = 4) -> Qcn:
     names = tuple(f"v{i}" for i in range(size))
     network = Qcn.universal(names)
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < tightness:
-                count = rng.randint(1, 4)
+                count = rng.randint(1, widest)
                 rels = RelationSet.of(*rng.sample(RELATIONS, count))
                 network = network.set_constraint(names[i], names[j], rels)
     return network
@@ -292,6 +306,43 @@ def _cmd_oracle_verify(args) -> int:
         f"{pc_violations} removed a realizable relation"
     )
     failures += pc_violations
+
+    # search plans of 2-4 atoms: some end-before-start pairs and one to
+    # three hull obligations, each side one atom or a random atom set
+    def side(atoms: range) -> list[int]:
+        return rng.sample(atoms, 1 if rng.random() < 0.5 else rng.randint(2, len(atoms)))
+
+    wrong_refutations = 0
+    for _ in range(pc_instances):
+        atoms = range(rng.randint(2, 4))
+        le_pairs = [(2 * i + 1, 2 * j) for i in atoms for j in atoms if i != j and rng.random() < 0.25]
+        hulls = [
+            hull_obligation(
+                side(atoms), side(atoms), RelationSet.of(*rng.sample(RELATIONS, rng.randint(1, 4)))
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        plan = (len(atoms), le_pairs, hulls)
+        if refutes_plan(*plan) and next(weak_orders(*plan), None):
+            wrong_refutations += 1
+    print(
+        f"shape refutation: {pc_instances} plans (<=4 atoms), "
+        f"{wrong_refutations} refuted a plan with a model"
+    )
+    failures += wrong_refutations
+
+    entail_disagreements = 0
+    for _ in range(pc_instances):
+        first = _random_network(rng, rng.randint(2, 3), tightness=0.9)
+        second = _random_network(rng, len(first.variables), tightness=0.8, widest=12)
+        held = all(check_schedule(second, model) for model in network_models_bruteforce(first))
+        if entails(first, second) != held:
+            entail_disagreements += 1
+    print(
+        f"entailment: {pc_instances} network pairs (<=3 variables), "
+        f"{entail_disagreements} disagreements with brute force"
+    )
+    failures += entail_disagreements
 
     print("result:", "ok" if failures == 0 else f"{failures} failures")
     return 0 if failures == 0 else 1

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .allen import Relation, RelationSet
-from .qcn import Qcn, entails
-from .semantics import Model, find_model
+from .qcn import Qcn, entails, path_consistency
+from .semantics import Hull, Model, find_model
 from .workflow import (
     Atomic,
     Conj,
@@ -36,6 +36,8 @@ from .workflow import (
 )
 
 SEQUENCE_RELATIONS = RelationSet.of(Relation.BEFORE, Relation.MEETS)
+# an executed atom lies within the hull of any atom set holding it
+INSIDE_HULL = RelationSet.of(Relation.STARTS, Relation.DURING, Relation.FINISHES, Relation.EQUALS)
 
 
 class KeyResolutionError(ValueError):
@@ -314,10 +316,39 @@ def check_strong_satisfiable(ew: ExtendedWorkflow) -> bool:
     return is_consistent(sequence_free(ew).network)
 
 
+def refutes_plan(atom_count: int, le_pairs: list[tuple[int, int]], hulls: list[Hull]) -> bool:
+    """Does path consistency refute the interval network that the search
+    plan of one execution shape (see ``semantics.find_model``) implies?
+
+    Each atom is a variable, {b, m} to the atom of each end-before-start
+    pair.  Each hull obligation relates its two sides: a one-atom side is
+    that atom, a larger side is a hull variable holding each member atom
+    in {s, d, f, eq}.  These are necessary conditions only, so True proves
+    that the shape has no model and False proves nothing.
+    """
+    names = [f"a{i}" for i in range(atom_count)]
+    sides = {1 << 2 * i: name for i, name in enumerate(names)}
+    for obligation in hulls:
+        for starts in obligation[0], obligation[2]:
+            sides.setdefault(starts, f"h{starts}")
+    network = Qcn.universal(tuple(sides.values()))
+    for x, y in le_pairs:
+        network = network.set_constraint(names[x >> 1], names[y >> 1], SEQUENCE_RELATIONS)
+    for starts, hull_name in list(sides.items())[atom_count:]:
+        for i in range(atom_count):
+            if starts >> 2 * i & 1:
+                network = network.set_constraint(names[i], hull_name, INSIDE_HULL)
+    for starts_i, _, starts_j, _, allowed in hulls:
+        network = network.set_constraint(sides[starts_i], sides[starts_j], RelationSet(allowed))
+    return not path_consistency(network)[1]
+
+
 def find_witness(ew: ExtendedWorkflow, *, unroll_bound: int = 3) -> Optional[Model]:
     """A bounded model of the extended workflow, if one exists."""
     _require_valid(ew)
-    return find_model(ew.workflow, ew.network, variable_paths(ew), unroll_bound=unroll_bound)
+    return find_model(
+        ew.workflow, ew.network, variable_paths(ew), unroll_bound=unroll_bound, refute=refutes_plan
+    )
 
 
 def check_satisfiable(ew: ExtendedWorkflow, *, unroll_bound: int = 3) -> bool:

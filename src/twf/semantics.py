@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .allen import (
     ENDPOINT_RANKS,
@@ -51,6 +51,7 @@ from .workflow import (
     iter_nodes,
     resolutions,
     resolve_traced,
+    shape_census,
 )
 
 DEFAULT_ATOM_BUDGET = 7
@@ -394,15 +395,22 @@ def _search_plan(
         for occs_i, occs_j, rels in obligations:
             ai = [occ_index[o] for o in occs_i]
             aj = [occ_index[o] for o in occs_j]
-            hulls.append(_hull_obligation(ai, aj, rels))
+            hulls.append(hull_obligation(ai, aj, rels))
     return le_pairs, hulls
 
 
-def _hull_obligation(ai: list[int], aj: list[int], rels: RelationSet) -> Hull:
+def hull_obligation(ai: list[int], aj: list[int], rels: RelationSet) -> Hull:
     """The hulls over two atom sets must relate within rels."""
     starts_i = sum(1 << 2 * a for a in ai)
     starts_j = sum(1 << 2 * a for a in aj)
     return starts_i, starts_i << 1, starts_j, starts_j << 1, rels.bits
+
+
+def _over_budget(atom_budget: int, skipped: int, smallest: int) -> AtomBudgetError:
+    return AtomBudgetError(
+        f"no model within the atom budget ({atom_budget}); "
+        f"shapes skipped: {skipped}, the smallest with {smallest} atoms"
+    )
 
 
 def find_model(
@@ -412,6 +420,7 @@ def find_model(
     *,
     unroll_bound: int = 3,
     atom_budget: int = DEFAULT_ATOM_BUDGET,
+    refute: Optional[Callable[[int, list[tuple[int, int]], list[Hull]], bool]] = None,
 ) -> Optional[Model]:
     """First bounded model of the constrained workflow, if any.
 
@@ -420,10 +429,17 @@ def find_model(
     check_model.  Execution shapes with more atoms than ``atom_budget``
     are counted and skipped without being resolved; if nothing was found
     and something was skipped, the verdict is indeterminate and
-    AtomBudgetError is raised instead of None.
+    AtomBudgetError is raised instead of None; when every shape is over
+    the budget, the shape census of the tree alone gives that verdict.
+    A shape whose search plan ``refute(atom_count, le_pairs, hulls)``
+    proves model-free is skipped unsearched; without ``refute`` the search
+    shares no code with the solver it arbitrates for.
     """
     if unroll_bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {unroll_bound}")
+    count, smallest = shape_census(w, unroll_bound)
+    if smallest > atom_budget:
+        raise _over_budget(atom_budget, count, smallest)
     var_paths = var_paths or {}
     skipped: list[int] = []
     for resolution, size in resolutions(w, unroll_bound):
@@ -435,6 +451,8 @@ def find_model(
         if plan is None:
             continue
         le_pairs, hulls = plan
+        if refute is not None and refute(len(instance.atoms), le_pairs, hulls):
+            continue
         for layers in weak_orders(len(instance.atoms), le_pairs, hulls):
             assignment = {
                 a.occ: Interval(Fraction(layers[2 * i]), Fraction(layers[2 * i + 1]))
@@ -444,10 +462,7 @@ def find_model(
                 return Model(instance, assignment)
             raise RuntimeError("search produced a candidate that fails verification")
     if skipped:
-        raise AtomBudgetError(
-            f"no model within the atom budget ({atom_budget}); "
-            f"shapes skipped: {len(skipped)}, the smallest with {min(skipped)} atoms"
-        )
+        raise _over_budget(atom_budget, len(skipped), min(skipped))
     return None
 
 
@@ -460,7 +475,7 @@ def _network_hulls(n: Qcn) -> Optional[list[Hull]]:
         if Relation.EQUALS not in rels:
             return None
     return [
-        _hull_obligation([n.index(vi)], [n.index(vj)], rels)
+        hull_obligation([n.index(vi)], [n.index(vj)], rels)
         for vi, vj, rels in n.nontrivial_pairs()
     ]
 

@@ -12,6 +12,7 @@ check implemented as a bounded rewrite search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -284,6 +285,32 @@ def resolutions(w: Workflow, bound: int) -> tuple[tuple[Resolution, int], ...]:
                 grown += [Resolution(r.choices, {**r.unrolls, path: k}) for k in options]
         partial = grown
     return tuple((r, _atom_count(w, r)) for r in partial)
+
+
+def shape_census(w: Workflow, bound: int) -> tuple[int, int]:
+    """How many shapes :func:`resolutions` gives for w, and the atom count
+    of the smallest, from one pass over the tree without building a shape.
+
+    A choice adds its branches' counts and takes their smallest; a
+    sequence or group multiplies its parts' counts and adds their
+    smallest; a loop runs each body shape 1..bound times, the smallest once.
+    """
+    if bound < 1:
+        raise ValueError(f"loop bound must be >= 1, got {bound}")
+
+    def go(node: Workflow) -> tuple[int, int]:
+        match node:
+            case Atomic():
+                return 1, 1
+            case Loop(body):
+                count, smallest = go(body)
+                return bound * count, smallest
+        counts, sizes = zip(*map(go, children(node)))
+        if isinstance(node, Disj):
+            return sum(counts), min(sizes)
+        return math.prod(counts), sum(sizes)
+
+    return go(w)
 
 
 # ---------------------------------------------------------------------------

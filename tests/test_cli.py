@@ -2,7 +2,7 @@
 
 import json
 
-from twf import corpus_path
+from twf import corpus_path, semantics
 from twf.cli import main
 
 RECETTE = str(corpus_path("recette.twf"))
@@ -93,6 +93,20 @@ class TestCheck:
         assert code == 2
         assert "atom budget (7)" in err
         assert "shapes skipped: 1, the smallest with 8 atoms" in err
+
+    def test_refuted_cycle_never_enters_the_weak_order_search(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("weak-order search entered")
+
+        monkeypatch.setattr(semantics, "weak_orders", unreachable)
+        cycle = tmp_path / "cycle.twf"
+        cycle.write_text(
+            "workflow cyc = and{ a ; b ; c ; d ; e ; f ; g }\n"
+            "constraints { a {b} c; c {b} e; e {b} a; }",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check", str(cycle))
+        assert (code, out, err) == (1, "satisfiable: no\n", "")
 
 
 class TestStrongCheck:
@@ -221,6 +235,8 @@ class TestOracleVerify:
         code, out, _ = run(capsys, "oracle-verify", "--instances", "40", "--seed", "3")
         assert code == 0
         assert "0 disagreements" in out
+        assert "shape refutation: 20 plans (<=4 atoms), 0 refuted a plan with a model\n" in out
+        assert "entailment: 20 network pairs (<=3 variables), 0 disagreements with brute force\n" in out
         assert "result: ok" in out
 
     def test_instances_below_one_exits_two(self, capsys):

@@ -15,6 +15,7 @@ from twf.extended import (
     check_strong_satisfiable,
     embed,
     find_witness,
+    refutes_plan,
     resolve_key,
     sequence_free,
     subsumes_sufficient,
@@ -22,7 +23,7 @@ from twf.extended import (
     variable_paths,
 )
 from twf.qcn import Qcn
-from twf.semantics import AtomBudgetError
+from twf.semantics import AtomBudgetError, find_model, hull_obligation
 from twf.workflow import (
     Atomic,
     Conj,
@@ -271,6 +272,40 @@ class TestStrongSatisfiability:
         assert validate(ew).ok
         assert check_strong_satisfiable(ew)
         assert not check_satisfiable(ew)
+
+
+class TestRefutesPlan:
+    def test_before_cycle_is_refuted(self):
+        cycle = [hull_obligation([i], [(i + 1) % 3], B) for i in range(3)]
+        assert refutes_plan(3, [], cycle)
+        assert not refutes_plan(3, [], cycle[:2])
+
+    def test_sequence_pairs_are_before_or_meets(self):
+        # a ends before b starts, so b {b} a cannot hold
+        assert refutes_plan(2, [(1, 2)], [hull_obligation([1], [0], B)])
+        assert not refutes_plan(2, [(1, 2)], [hull_obligation([0], [1], RelationSet.parse("m"))])
+
+    def test_a_group_hull_holds_its_members(self):
+        # the hull of {a, b} cannot lie during a, and a cannot come before
+        # it; it can start a's hull
+        assert refutes_plan(2, [], [hull_obligation([0, 1], [0], RelationSet.parse("d"))])
+        assert refutes_plan(2, [], [hull_obligation([0], [0, 1], B)])
+        assert not refutes_plan(2, [], [hull_obligation([0], [0, 1], RelationSet.parse("s"))])
+
+    def test_first_model_is_the_same_with_and_without_refutation(self, rng):
+        def outcome(ew, refute):
+            try:
+                model = find_model(ew.workflow, ew.network, variable_paths(ew), refute=refute)
+            except AtomBudgetError as exc:
+                return str(exc)
+            if model is None:
+                return None
+            rows = [(a.name, a.source, a.iterations, iv) for a, iv in model.atom_intervals()]
+            return model.resolution, rows
+
+        for _ in range(40):
+            ew = rand_extended(rng, max_constraints=3)
+            assert outcome(ew, refutes_plan) == outcome(ew, None)
 
 
 class TestCheckSatisfiable:

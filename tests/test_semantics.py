@@ -1,7 +1,9 @@
 """The brute-force model search: weak orders, model checking, hulls."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import loop_context, rand_extended, rand_workflow, workflow_strategy
 from twf import semantics
 from twf.allen import RELATIONS, Interval, RelationSet, interval, relation_between
-from twf.extended import variable_paths
+from twf.extended import refutes_plan, variable_paths
 from twf.qcn import Qcn
 from twf.semantics import (
     AtomBudgetError,
@@ -158,6 +160,45 @@ def test_hull_obligations_keep_exactly_the_models(case):
         assert list(weak_orders(m, le_pairs, hulls)) == expected
 
 
+@st.composite
+def extended_cases(draw):
+    """A rand_extended case (atom constraints, loops) in the form of
+    hull_constrained_trees: a tree, a network and its variable paths."""
+    ew = rand_extended(draw(st.randoms(use_true_random=False)), max_constraints=3)
+    return ew.workflow, ew.network, variable_paths(ew)
+
+
+@given(st.one_of(hull_constrained_trees(), extended_cases()))
+@settings(max_examples=150, deadline=None)
+def test_refuted_plans_have_no_model(case):
+    tree, network, var_paths = case
+    for instance in enumerate_instances(tree, 2):
+        m = len(instance.atoms)
+        if m > 4:
+            continue
+        plan = semantics._search_plan(instance, network, var_paths)
+        if plan is not None and refutes_plan(m, *plan):
+            assert next(weak_orders(m, *plan), None) is None
+
+
+def test_the_oracle_shares_no_code_with_the_solver():
+    """semantics arbitrates for composition and path consistency, so it
+    must neither import nor name them."""
+    solver = {
+        "compose_masks", "compose_sets", "path_consistency", "is_consistent", "scenarios", "_pc_bits"
+    }
+    tree = ast.parse(Path(semantics.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rsplit(".", 1)[-1])
+    assert not named & solver
+
+
 def sequence_le_pairs(instance, consecutive_only):
     """Endpoint orderings of the sequences of a resolved instance: each
     part's ends before the next part's starts, or before every later part's."""
@@ -266,11 +307,17 @@ class TestFindModel:
             calls.append(resolution)
             return resolve_traced(w, resolution)
 
+        def unreachable(w, bound):
+            raise AssertionError("shapes enumerated")
+
         monkeypatch.setattr(semantics, "resolve_traced", counting)
-        # eight chained choices: 256 shapes of eight atoms each
+        # eight chained choices: 256 shapes of eight atoms each, every one
+        # over the budget, so the census answers without enumerating them
         chain = rename_occurrences(seq(*(disj(atom(f"a{i}"), atom(f"b{i}")) for i in range(8))))
-        with pytest.raises(AtomBudgetError, match="shapes skipped: 256, the smallest with 8 atoms"):
-            find_model(chain)
+        with monkeypatch.context() as patched:
+            patched.setattr(semantics, "resolutions", unreachable)
+            with pytest.raises(AtomBudgetError, match="shapes skipped: 256, the smallest with 8 atoms"):
+                find_model(chain)
         assert calls == []
         # the eight-atom branch is counted, only the one-atom branch is built
         w = rename_occurrences(disj(conj(*(atom(n) for n in "abcdefgh")), atom("z")))

@@ -39,6 +39,7 @@ from twf.workflow import (
     resolutions,
     resolve_traced,
     seq,
+    shape_census,
     substitute,
     subsumes_syntactic,
     subworkflows,
@@ -243,6 +244,20 @@ class TestResolutions:
     def test_rejects_zero_bound(self):
         with pytest.raises(ValueError):
             resolutions(atom("a"), 0)
+        with pytest.raises(ValueError):
+            shape_census(atom("a"), 0)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_census_counts_the_shapes_and_the_smallest(self, rng, bound):
+        for _ in range(40):
+            w = rand_workflow(rng, max_depth=4, max_leaves=6)
+            enum = resolutions(w, bound)
+            assert shape_census(w, bound) == (len(enum), min(size for _, size in enum))
+
+    def test_census_of_a_long_choice_chain_needs_no_enumeration(self):
+        chain = seq(*(disj(atom(f"a{i}"), conj(atom(f"b{i}"), atom(f"c{i}"))) for i in range(200)))
+        assert shape_census(chain, 3) == (2**200, 200)
+        assert shape_census(loop(chain), 3) == (3 * 2**200, 200)
 
 
 class TestNormalize:
