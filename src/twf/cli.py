@@ -9,10 +9,9 @@ deterministic for fixed inputs, flags and seeds.
 from __future__ import annotations
 
 import argparse
-import json
-import random
+import functools
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .allen import RELATIONS, Relation, RelationSet, UNIVERSAL, generate_composition_table, compose
@@ -45,6 +44,9 @@ from .semantics import (
     weak_orders,
 )
 from .workflow import Loop, iter_nodes
+
+if TYPE_CHECKING:
+    import random
 
 SCHEMA_VERSION = 1
 
@@ -99,6 +101,8 @@ def _emit_verdict(
     unroll_bound: Optional[int],
 ) -> int:
     if getattr(args, "json", False):
+        import json
+
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tool": "twf",
@@ -270,6 +274,8 @@ def _random_network(rng: random.Random, size: int, tightness: float = 0.6, wides
 
 
 def _cmd_oracle_verify(args) -> int:
+    import random
+
     if not _at_least_one(args.instances, "--instances"):
         return 2
     rng = random.Random(args.seed)
@@ -348,7 +354,9 @@ def _cmd_oracle_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="twf",
         description="Reason about workflows with qualitative interval constraints.",
@@ -397,9 +405,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--instances", type=int, default=500, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.set_defaults(fn=_cmd_oracle_verify)
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         code = exc.code

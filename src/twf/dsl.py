@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .allen import Relation, RelationSet
 from .extended import (
@@ -47,9 +47,9 @@ from .workflow import (
     Path,
     Seq,
     Workflow,
+    fresh_occ,
     iter_nodes,
     normalize,
-    rename_occurrences,
 )
 
 RESERVED = {"workflow", "constraints", "and", "or", "loop"}
@@ -58,8 +58,6 @@ RESERVED = {"workflow", "constraints", "and", "or", "loop"}
 # recursive walk over it, is as deep as the brackets, so the cap keeps
 # them all far from Python's recursion limit.
 MAX_NESTING = 100
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -80,88 +78,62 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, STRING, ARROW, one-char punctuation, EOF
     value: str
     line: int
     col: int
 
 
+# One alternative per token kind, tried in order.  A quoted name ends on
+# its own line unless a backslash escapes the newline; a quote that starts
+# no such name falls through to BAD, as does any character no token takes.
+_TOKEN_RE = re.compile(
+    r"""(?P<STRING>'(?:\\.|[^\\'\n])*'|"(?:\\.|[^\\"\n])*")"""
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<ARROW>->)|(?P<PUNCT>[{}():;|,=])"
+    r"|(?P<SKIP>[ \t\r\n]+)|(?P<COMMENT>#[^\n]*)|(?P<BAD>.)",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    """Tokens with 1-based line:col positions; every character but a
+    newline is one column."""
+    line, line_start, end = 1, 0, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, start, end = match.lastgroup, match.start(), match.end()
+        col = start - line_start + 1
+        if kind in ("IDENT", "ARROW", "PUNCT"):
+            value = match.group()
+            yield Token(value if kind == "PUNCT" else kind, value, line, col)
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "BAD":
+            ch = match.group()
+            message = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
+            raise ParseError([Diagnostic(line, col, message)])
+        if kind == "COMMENT":
+            end = start  # input that ends in a comment ends at its '#'
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            yield Token("ARROW", "->", line, col)
-            i += 2
-            col += 2
-            continue
-        if ch in "{}():;|,=":
-            yield Token(ch, ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            parts = []
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    parts.append(text[i + 1])
-                    if text[i + 1] == "\n":
-                        line, col = line + 1, 1
-                    else:
-                        col += 2
-                    i += 2
-                elif text[i] == "\n":
-                    break
-                else:
-                    parts.append(text[i])
-                    i += 1
-                    col += 1
-            if i >= n or text[i] != quote:
-                raise ParseError([Diagnostic(start_line, start_col, "unterminated string")])
-            i += 1
-            col += 1
-            yield Token("STRING", "".join(parts), start_line, start_col)
-            continue
-        match = _IDENT_RE.match(text, i)
-        if match:
-            yield Token("IDENT", match.group(), line, col)
-            col += len(match.group())
-            i = match.end()
-            continue
-        raise ParseError([Diagnostic(line, col, f"unexpected character {ch!r}")])
-    yield Token("EOF", "", line, col)
+        if kind == "STRING":
+            yield Token(kind, _ESCAPE_RE.sub(r"\1", text[start + 1 : end - 1]), line, col)
+        # only blanks and quoted names span newlines
+        newline = text.rfind("\n", start, end)
+        if newline >= 0:
+            line += text.count("\n", start, end)
+            line_start = newline + 1
+    yield Token("EOF", "", line, end - line_start + 1)
 
 
 @dataclass
 class ParsedDocument:
     """A parsed source file: text, workflow name, the extended workflow,
-    and source locations of nodes (by path) and constraints (in order)."""
+    and the source location of each node (by path)."""
 
     text: str
     name: str
     extended: ExtendedWorkflow
     node_spans: dict[Path, tuple[int, int]] = field(default_factory=dict)
-    constraint_spans: list[tuple[int, int]] = field(default_factory=list)
 
 
 class _Parser:
@@ -267,9 +239,9 @@ class _Parser:
             return self._label(inner, label, start)
         if token.kind == "STRING" or (token.kind == "IDENT" and token.value not in RESERVED):
             self.advance()
-            return self._label(
-                self._note(Atomic(token.value), (token.line, token.col)), label, start
-            )
+            # source order is preorder, so atoms are numbered as a walk meets them
+            leaf = Atomic(token.value, fresh_occ())
+            return self._label(self._note(leaf, (token.line, token.col)), label, start)
         raise self.fail("expected an activity, group, or '('")
 
     def constraint(self) -> tuple[str, RelationSet, str, Token]:
@@ -329,7 +301,6 @@ def parse(text: str) -> ParsedDocument:
     parser = _Parser(text)
     name, tree, raw_constraints = parser.document()
     node_spans = {path: parser.spans.get(id(node), (1, 1)) for path, node in iter_nodes(tree)}
-    tree = rename_occurrences(tree)
 
     diagnostics: list[Diagnostic] = []
     census = key_census(tree)
@@ -360,16 +331,12 @@ def parse(text: str) -> ParsedDocument:
             line, col = (1, 1)
             if violation.constraint is not None:
                 line, col = span_of.get(frozenset(violation.constraint), (1, 1))
+            elif violation.kind == "duplicate-label":
+                line, col = node_spans[violation.paths[-1]]
             diagnostics.append(Diagnostic(line, col, violation.message))
         raise ParseError(diagnostics)
 
-    return ParsedDocument(
-        text,
-        name,
-        extended,
-        node_spans,
-        [(t.line, t.col) for *_, t in raw_constraints],
-    )
+    return ParsedDocument(text, name, extended, node_spans)
 
 
 def parse_extended(text: str) -> ExtendedWorkflow:
@@ -381,7 +348,8 @@ def parse_extended(text: str) -> ExtendedWorkflow:
 
 
 def _quote(name: str) -> str:
-    if _IDENT_RE.fullmatch(name) and name not in RESERVED:
+    bare = _TOKEN_RE.fullmatch(name)
+    if bare and bare.lastgroup == "IDENT" and name not in RESERVED:
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\\n")
     return f"'{escaped}'"

@@ -94,13 +94,6 @@ class Model:
         return [(a, self.assignment[a.occ]) for a in self.instance.atoms]
 
 
-def enumerate_instances(w: Workflow, unroll_bound: int) -> list[ResolvedInstance]:
-    """All resolved instances up to the loop bound, one per execution shape."""
-    return [
-        ResolvedInstance(w, r, *resolve_traced(w, r)) for r, _ in resolutions(w, unroll_bound)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Execution times and hulls
 

@@ -132,9 +132,13 @@ def with_children(node: Workflow, kids: Sequence[Workflow]) -> Workflow:
 
 def iter_nodes(w: Workflow, prefix: Path = ()) -> Iterator[tuple[Path, Workflow]]:
     """Preorder traversal yielding (path, node) pairs."""
-    yield prefix, w
-    for step, child in enumerate(children(w)):
-        yield from iter_nodes(child, prefix + (step,))
+    stack = [(prefix, w)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = children(node)
+        for step in range(len(kids) - 1, -1, -1):
+            stack.append((path + (step,), kids[step]))
 
 
 def node_at(w: Workflow, path: Path) -> Workflow:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twf.allen import RELATIONS, Interval, RelationSet
 from twf.extended import ExtendedWorkflow, validate
 from twf.qcn import Qcn
-from twf.semantics import check_model, enumerate_instances, weak_orders
+from twf.semantics import ResolvedInstance, check_model, weak_orders
 from twf.workflow import (
     Atomic,
     Conj,
@@ -23,6 +23,8 @@ from twf.workflow import (
     atom,
     iter_nodes,
     rename_occurrences,
+    resolutions,
+    resolve_traced,
 )
 
 NAMES = "abcdefgh"
@@ -203,6 +205,13 @@ def _name_bijections(atoms1, atoms2):
             for target, source in zip(perm, by_name2[key]):
                 mapping[source.occ] = target.occ
         yield mapping
+
+
+def enumerate_instances(w: Workflow, unroll_bound: int) -> list[ResolvedInstance]:
+    """All resolved instances up to the loop bound, one per execution shape."""
+    return [
+        ResolvedInstance(w, r, *resolve_traced(w, r)) for r, _ in resolutions(w, unroll_bound)
+    ]
 
 
 def executions_included(

@@ -2,7 +2,7 @@
 
 import json
 
-from twf import corpus_path, semantics
+from twf import cli, corpus_path, semantics
 from twf.cli import main
 
 RECETTE = str(corpus_path("recette.twf"))
@@ -248,6 +248,13 @@ class TestOracleVerify:
 
 
 class TestDeterminism:
+    def test_one_parser_serves_every_call(self, capsys):
+        assert cli._parser() is cli._parser()
+        first = run(capsys, "check")
+        assert first[0] == 2 and first[2]
+        assert run(capsys, "check", COUNTEREXAMPLE)[0] == 0
+        assert run(capsys, "check") == first
+
     def test_check_output_is_reproducible(self, capsys):
         _, first, _ = run(capsys, "check", RECETTE, "--json")
         _, second, _ = run(capsys, "check", RECETTE, "--json")

@@ -73,6 +73,10 @@ class TestParse:
         ew = parse_extended("workflow w = a -> a")
         occs = [n.occ for _, n in iter_nodes(ew.workflow) if isinstance(n, Atomic)]
         assert len(set(occs)) == 2
+        # ids are distinct and rise in preorder
+        ew = parse_extended("workflow w = a -> x: and{ (a -> b) ; loop{ c } } -> a")
+        occs = [n.occ for _, n in iter_nodes(ew.workflow) if isinstance(n, Atomic)]
+        assert occs == sorted(set(occs)) and len(occs) == 5
 
     def test_labels_and_quoted_atoms(self):
         ew = parse_extended("workflow w = grp: and{ 'first step' ; second }")
@@ -100,9 +104,12 @@ class TestParse:
         assert "zz" in info.value.diagnostics[0].message
 
     def test_duplicate_label_rejected(self):
+        # located at the second use of the label
         with pytest.raises(ParseError) as info:
             parse("workflow w = x: and{ a ; b } -> x: or{ c | d }")
-        assert "x" in info.value.diagnostics[0].message
+        assert [str(d) for d in info.value.diagnostics] == [
+            "1:33: label 'x' is used more than once"
+        ]
 
     def test_ambiguous_atom_reference(self):
         with pytest.raises(ParseError) as info:
@@ -151,6 +158,37 @@ class TestParse:
         assert all(
             span[0] == 1 and span[1] >= 14 for span in doc.node_spans.values()
         )
+
+
+class TestTokenDiagnostics:
+    """Lexical diagnostics carry exact line:col positions."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # a tab counts as one column
+            ("workflow w = a ->\t@", "1:19: unexpected character '@'"),
+            # an escaped newline inside a quoted name starts line 2
+            ("workflow w = 'a\\\nb' -> @", "2:7: unexpected character '@'"),
+            ("workflow w = 'ab -> c", "1:14: unterminated string"),
+            ("workflow w = 'ab\n' -> c", "1:14: unterminated string"),
+            ("workflow w = 'ab\\", "1:14: unterminated string"),
+            ("workflow w = a -> \x0c", "1:19: unexpected character '\\x0c'"),
+            # the end of input after a trailing comment sits at its '#'
+            ("workflow w = a -> # done", "1:19: expected an activity, group, or '('"),
+            ("workflow w = a ->\n# done", "2:1: expected an activity, group, or '('"),
+            ("", "1:1: expected keyword 'workflow'"),
+        ],
+    )
+    def test_located(self, text, expected):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert [str(d) for d in info.value.diagnostics] == [expected]
+
+    def test_positions_after_crlf_and_escapes(self):
+        doc = parse("workflow w =\r\n  a -> 'b\\'c' ->\r\n\td")
+        spans = sorted(doc.node_spans.values())
+        assert spans == [(2, 3), (2, 3), (2, 8), (3, 2)]
 
 
 class TestRoundTrip:

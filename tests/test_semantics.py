@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_context, rand_extended, rand_workflow, workflow_strategy
+from conftest import (
+    enumerate_instances,
+    loop_context,
+    rand_extended,
+    rand_workflow,
+    workflow_strategy,
+)
 from twf import semantics
 from twf.allen import RELATIONS, Interval, RelationSet, interval, relation_between
 from twf.extended import refutes_plan, variable_paths
@@ -18,7 +24,6 @@ from twf.semantics import (
     AtomBudgetError,
     NotExecutedError,
     check_model,
-    enumerate_instances,
     execution_times,
     find_model,
     hull,

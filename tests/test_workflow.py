@@ -5,10 +5,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import executions_included, rand_workflow, workflow_strategy
+from conftest import enumerate_instances, executions_included, rand_workflow, workflow_strategy
 from twf import workflow
 from twf.workflow import (
     Atomic,
@@ -104,6 +104,35 @@ def reference_resolutions(w, bound):
         unrolls = {p: k for p, k in unrolls.items() if p in reached}
         kept.setdefault((tuple(choices.items()), tuple(unrolls.items())), (choices, unrolls))
     return list(kept.values())
+
+
+def reference_nodes(w, prefix=()):
+    """Recursive preorder walk, the reference for the stack-based one."""
+    yield prefix, w
+    for step, child in enumerate(children(w)):
+        yield from reference_nodes(child, prefix + (step,))
+
+
+def nested(levels):
+    """A tree ``levels`` brackets deep, cycling through the node kinds."""
+    node = atom("a")
+    for level in range(levels):
+        kind = level % 4
+        if kind == 0:
+            node = Loop(node)
+        else:
+            node = (Conj, Seq, Disj)[kind - 1]((node, atom("b")))
+    return node
+
+
+class TestIterNodes:
+    @given(st.randoms(use_true_random=False).map(lambda r: rand_workflow(r, max_depth=6, max_leaves=14)))
+    @example(seq(*(atom(f"s{i}") for i in range(1500))))
+    @example(nested(100))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_recursive_walk(self, w):
+        assert list(iter_nodes(w)) == list(reference_nodes(w))
+        assert list(iter_nodes(w, (3, 1))) == list(reference_nodes(w, (3, 1)))
 
 
 class TestSubworkflows:
@@ -399,7 +428,7 @@ class TestSubsumption:
         # a witness why [alpha; beta] is not subsumed by alpha -> beta:
         # beta may start before alpha ends
         from twf.allen import interval
-        from twf.semantics import check_model, enumerate_instances
+        from twf.semantics import check_model
 
         conj_w = rename_occurrences(conj(atom("alpha"), atom("beta")))
         seq_w = rename_occurrences(seq(atom("alpha"), atom("beta")))
