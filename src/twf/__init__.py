@@ -8,8 +8,6 @@ satisfiability, equivalence and subsumption, and produces exact rational
 schedules as witnesses.
 """
 
-from importlib import resources
-
 from .allen import (
     EMPTY,
     UNIVERSAL,
@@ -84,4 +82,5 @@ __version__ = "0.1.0"
 
 def corpus_path(name: str):
     """Filesystem path of a shipped corpus file, e.g. ``recette.twf``."""
+    from importlib import resources  # on first use: it loads zipfile, tempfile, pathlib
     return resources.files(__package__) / "corpus" / name

@@ -290,7 +290,19 @@ def _composition_images(r: Relation) -> list[int]:
 
 
 _CONVERSE_LOW, _CONVERSE_HIGH = _half_tables([r.inverse.bit for r in RELATIONS])
-_COMPOSE_LOW, _COMPOSE_HIGH = zip(*(_half_tables(_composition_images(r)) for r in RELATIONS))
+# per relation r, the (low, high) half tables of r composed with a mask
+_COMPOSE_HALVES = [tuple(_half_tables(_composition_images(r))) for r in RELATIONS]
+
+
+def compose_halves(mask: int) -> list[tuple[list[int], list[int]]]:
+    """The (low, high) half tables of each relation of a mask, for composing
+    it as the left operand (see :func:`compose_masks`)."""
+    halves = []
+    while mask:
+        lowest = mask & -mask
+        halves.append(_COMPOSE_HALVES[lowest.bit_length() - 1])
+        mask ^= lowest
+    return halves
 
 
 def converse_mask(mask: int) -> int:
@@ -304,8 +316,8 @@ def compose_masks(mask1: int, mask2: int) -> int:
     bits = 0
     while mask1:
         lowest = mask1 & -mask1
-        r = lowest.bit_length() - 1
-        bits |= _COMPOSE_LOW[r][low] | _COMPOSE_HIGH[r][high]
+        low_table, high_table = _COMPOSE_HALVES[lowest.bit_length() - 1]
+        bits |= low_table[low] | high_table[high]
         mask1 ^= lowest
     return bits
 

@@ -261,11 +261,11 @@ class _Parser:
 
     def relset(self) -> RelationSet:
         self.expect("{", "a relation set")
-        rels = RelationSet(0)
+        bits = 0
         while True:
             token = self.expect("IDENT", "a relation token")
             try:
-                rels = rels | RelationSet.of(Relation.from_token(token.value))
+                bits |= Relation.from_token(token.value).bit
             except ValueError:
                 raise self.fail(f"unknown relation {token.value!r}", token) from None
             if self.current.kind == ",":
@@ -273,7 +273,7 @@ class _Parser:
                 continue
             break
         self.expect("}", "'}'")
-        return rels
+        return RelationSet(bits)
 
     # --- bookkeeping
 

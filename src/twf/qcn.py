@@ -24,8 +24,9 @@ from .allen import (
     Interval,
     Relation,
     RelationSet,
-    compose_masks,
+    compose_halves,
     converse_mask,
+    endpoint_relation,
     relation_between,
 )
 
@@ -46,6 +47,7 @@ Schedule = dict[str, Interval]
 
 _EQ = Relation.EQUALS.bit
 _ANY = UNIVERSAL.bits
+_RANKS = [ENDPOINT_RANKS[r] for r in RELATIONS]  # by bit position
 
 
 def _replaced(row: tuple[int, ...], k: int, mask: int) -> tuple[int, ...]:
@@ -145,6 +147,10 @@ def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
     """Refine the mask matrix in place, revising every triangle through the
     queued edges (i < j) and through each edge it narrows, to a fixpoint.
 
+    A dequeued edge (i, j) revises (i, k) through j, then (j, k) through i,
+    each pass with one left operand whose tables are picked once.  A
+    universal entry cannot narrow anything, so none is composed or queued.
+
     Returns False as soon as an entry becomes empty.
     """
     n = len(m)
@@ -152,19 +158,25 @@ def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
     while queue:
         i, j = queue.popleft()
         queued.discard((i, j))
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            # (i,k) through j, then (k,j) through i
-            for a, b, via in ((i, k, j), (k, j, i)):
-                refined = m[a][b] & compose_masks(m[a][via], m[via][b])
-                if refined != m[a][b]:
+        for a, via in ((i, j), (j, i)):
+            halves = compose_halves(m[a][via])
+            row_a, row_via = m[a], m[via]
+            for k in range(n):
+                right = row_via[k]
+                if right == _ANY or k == a or k == via:
+                    continue
+                low, high = right & 127, right >> 7
+                bits = 0
+                for low_table, high_table in halves:
+                    bits |= low_table[low] | high_table[high]
+                refined = row_a[k] & bits
+                if refined != row_a[k]:
                     if not refined:
-                        m[a][b] = m[b][a] = 0
+                        row_a[k] = m[k][a] = 0
                         return False
-                    m[a][b] = refined
-                    m[b][a] = converse_mask(refined)
-                    edge = (a, b) if a < b else (b, a)
+                    row_a[k] = refined
+                    m[k][a] = converse_mask(refined)
+                    edge = (a, k) if a < k else (k, a)
                     if edge not in queued:
                         queued.add(edge)
                         queue.append(edge)
@@ -172,11 +184,11 @@ def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
 
 
 def _closure(n: Qcn) -> tuple[list[list[int]], bool]:
-    """The network's mask matrix refined from every edge, and whether no
-    entry is empty."""
+    """The network's mask matrix refined from every non-universal edge, and
+    whether no entry is empty."""
     m = [list(row) for row in n.constraints]
     count = len(m)
-    edges = deque((i, j) for i in range(count) for j in range(i + 1, count))
+    edges = deque((i, j) for i in range(count) for j in range(i + 1, count) if m[i][j] != _ANY)
     return m, _pc_bits(m, edges) and all(map(all, m))
 
 
@@ -258,14 +270,14 @@ def realize_scenario(s: Qcn) -> Schedule:
 
     Builds the endpoint order graph that every singleton relation's
     endpoint order (:data:`~twf.allen.ENDPOINT_RANKS`) implies,
-    layers it topologically, assigns consecutive integer rationals to the
-    layers, and re-checks every constraint on the result.
+    layers it topologically, re-checks every constraint on the integer
+    layers, and returns the layers as rationals.  Endpoint ``side`` (0 for
+    the start, 1 for the end) of variable v is point 2v + side.
     """
     if not s.is_scenario:
         raise ValueError("network is not an atomic scenario")
     count = len(s.variables)
-    points = [(v, side) for v in range(count) for side in (0, 1)]
-    parent = {p: p for p in points}
+    parent = list(range(2 * count))
 
     def find(p):
         while parent[p] != p:
@@ -273,36 +285,33 @@ def realize_scenario(s: Qcn) -> Schedule:
             p = parent[p]
         return p
 
-    def union(p, q):
-        parent[find(p)] = find(q)
-
-    strict: list[tuple[tuple[int, int], tuple[int, int]]] = [
-        ((v, 0), (v, 1)) for v in range(count)
-    ]
+    strict = [(2 * v, 2 * v + 1) for v in range(count)]
     for i in range(count):
         row = s.constraints[i]
         for j in range(i + 1, count):
-            ranks = ENDPOINT_RANKS[RELATIONS[row[j].bit_length() - 1]]
-            ends = sorted(zip(ranks, ((i, 0), (i, 1), (j, 0), (j, 1))))
+            ranks = _RANKS[row[j].bit_length() - 1]
+            ends = sorted(zip(ranks, (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)))
             # consecutive endpoints of the two intervals: tied or ordered
             for (rank_a, a), (rank_b, b) in zip(ends, ends[1:]):
-                if a[0] != b[0]:
+                if a >> 1 != b >> 1:
                     if rank_a == rank_b:
-                        union(a, b)
+                        parent[find(a)] = find(b)
                     else:
                         strict.append((a, b))
 
-    edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    indegree: dict[tuple[int, int], int] = {find(p): 0 for p in points}
+    edges: dict[int, set[int]] = {}
+    indegree = {find(p): 0 for p in range(2 * count)}
     for a, b in strict:
         ra, rb = find(a), find(b)
         if ra == rb:
-            raise UnrealizableScenarioError(f"endpoint cycle through {a} and {b}")
+            raise UnrealizableScenarioError(
+                f"endpoint cycle through {divmod(a, 2)} and {divmod(b, 2)}"
+            )
         if rb not in edges.setdefault(ra, set()):
             edges[ra].add(rb)
             indegree[rb] += 1
 
-    layer = {node: 0 for node in indegree}
+    layer = dict.fromkeys(indegree, 0)
     ready = deque(node for node, deg in indegree.items() if deg == 0)
     seen = 0
     while ready:
@@ -316,21 +325,20 @@ def realize_scenario(s: Qcn) -> Schedule:
     if seen != len(indegree):
         raise UnrealizableScenarioError("cyclic endpoint ordering")
 
-    schedule: Schedule = {}
-    for v, name in enumerate(s.variables):
-        lo = Fraction(layer[find((v, 0))])
-        hi = Fraction(layer[find((v, 1))])
-        schedule[name] = Interval(lo, hi)
-
+    at = [layer[find(p)] for p in range(2 * count)]
     for i in range(count):
+        row = s.constraints[i]
         for j in range(i + 1, count):
-            got = relation_between(schedule[s.variables[i]], schedule[s.variables[j]])
-            if got.bit != s.constraints[i][j]:
-                want = RelationSet(s.constraints[i][j]).single()
+            got = endpoint_relation(at[2 * i], at[2 * i + 1], at[2 * j], at[2 * j + 1])
+            want = RELATIONS[row[j].bit_length() - 1]
+            if got is not want:
                 raise UnrealizableScenarioError(
                     f"{s.variables[i]} {got.token} {s.variables[j]}, scenario wants {want.token}"
                 )
-    return schedule
+    return {
+        name: Interval(Fraction(at[2 * v]), Fraction(at[2 * v + 1]))
+        for v, name in enumerate(s.variables)
+    }
 
 
 def check_schedule(n: Qcn, schedule: Mapping[str, Interval]) -> bool:

@@ -1,6 +1,9 @@
 """Command-line behaviour: verdicts, exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 from twf import cli, corpus_path, semantics
 from twf.cli import main
@@ -269,3 +272,23 @@ class TestDeterminism:
         _, first, _ = run(capsys, "scenario", RECETTE)
         _, second, _ = run(capsys, "scenario", RECETTE)
         assert first == second
+
+
+class TestImport:
+    def test_corpus_access_is_imported_on_first_use(self):
+        # importlib.resources pulls in zipfile, tempfile and pathlib: a clean
+        # interpreter (-I -S) loads it only when corpus_path is called
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import twf.cli\n"
+            "assert 'importlib.resources' not in sys.modules\n"
+            "from twf import corpus_path\n"
+            "text = corpus_path('recette.twf').read_text(encoding='utf-8')\n"
+            "assert 'workflow' in text\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr

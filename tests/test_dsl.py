@@ -103,6 +103,10 @@ class TestParse:
             parse("workflow w = a -> b\nconstraints { a {zz} b; }")
         assert "zz" in info.value.diagnostics[0].message
 
+    def test_relation_set_is_the_union_of_its_tokens(self):
+        ew = parse_extended("workflow w = and{ a ; b }\nconstraints { a {m, b, m, eq} b; }")
+        assert constraint_set(ew) == {("a", "b", "b m eq")}
+
     def test_duplicate_label_rejected(self):
         # located at the second use of the label
         with pytest.raises(ParseError) as info:
@@ -178,6 +182,14 @@ class TestTokenDiagnostics:
             ("workflow w = a -> # done", "1:19: expected an activity, group, or '('"),
             ("workflow w = a ->\n# done", "2:1: expected an activity, group, or '('"),
             ("", "1:1: expected keyword 'workflow'"),
+            # an unknown relation is located at its own token
+            ("workflow w = a -> b\nconstraints { a {zz} b; }", "2:18: unknown relation 'zz'"),
+            ("workflow w = a -> b\nconstraints { a {b,eq ,B} b; }", "2:24: unknown relation 'B'"),
+            (
+                "workflow w = a -> b\nconstraints {\n  a {b, m,\n     during} b;\n}",
+                "4:6: unknown relation 'during'",
+            ),
+            ("workflow w = a -> b\nconstraints { a {b, } b; }", "2:21: expected a relation token"),
         ],
     )
     def test_located(self, text, expected):

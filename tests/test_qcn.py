@@ -1,13 +1,23 @@
 """Constraint networks: construction, path consistency, scenario search,
 realization and entailment."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twf.allen import EMPTY, RELATIONS, Relation, RelationSet, relation_between
+from twf.allen import (
+    EMPTY,
+    RELATIONS,
+    UNIVERSAL,
+    Relation,
+    RelationSet,
+    compose_masks,
+    compose_sets,
+    relation_between,
+)
 from twf.qcn import (
     Qcn,
     UnknownVariableError,
@@ -116,6 +126,52 @@ class TestPathConsistency:
                 assert rels.bits & ~kept.bits == 0
 
 
+def naive_closure(n):
+    """Path consistency by sweeping every triple until nothing changes:
+    (flag, entries) with the flag False once any entry is empty."""
+    entries = {(a, b): n.get(a, b) for a in n.variables for b in n.variables}
+    changed = True
+    while changed:
+        changed = False
+        for a, via, b in itertools.permutations(n.variables, 3):
+            refined = entries[a, b] & compose_sets(entries[a, via], entries[via, b])
+            if refined != entries[a, b]:
+                entries[a, b], entries[b, a] = refined, refined.inverse()
+                changed = True
+    return all(entries.values()), entries
+
+
+@st.composite
+def density_networks(draw):
+    """Networks of 2-8 variables whose pairs are constrained with a drawn
+    density, from mostly universal to every pair constrained."""
+    names = tuple(f"v{i}" for i in range(draw(st.integers(2, 8))))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    n = Qcn.universal(names)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if draw(st.floats(0, 1)) < density:
+                n = n.set_constraint(a, b, RelationSet(draw(st.integers(0, UNIVERSAL.bits))))
+    return n
+
+
+@given(density_networks())
+@settings(max_examples=200, deadline=None)
+def test_path_consistency_agrees_with_the_naive_closure(n):
+    refined, ok = path_consistency(n)
+    expected_ok, entries = naive_closure(n)
+    assert ok is expected_ok
+    if ok:
+        assert all(refined.get(a, b) == rels for (a, b), rels in entries.items())
+
+
+@pytest.mark.parametrize("r", range(len(RELATIONS)))
+def test_a_universal_operand_composes_to_universal(r):
+    # path consistency skips revisions through a universal entry on this premise
+    assert compose_masks(1 << r, UNIVERSAL.bits) == UNIVERSAL.bits
+    assert compose_masks(UNIVERSAL.bits, 1 << r) == UNIVERSAL.bits
+
+
 class TestConsistency:
     def test_before_cycle_inconsistent(self):
         n = Qcn.universal(("x", "y", "z"))
@@ -195,8 +251,18 @@ class TestRealization:
         bad = bad.set_constraint("i", "j", B).set_constraint("j", "k", B)
         bad = bad.set_constraint("k", "i", B)
         assert bad.is_scenario
-        with pytest.raises(UnrealizableScenarioError):
+        with pytest.raises(UnrealizableScenarioError, match="^cyclic endpoint ordering$"):
             realize_scenario(bad)
+
+    def test_tied_endpoints_in_a_cycle_reported(self):
+        # i ends with k and j starts where k ends, so i's end and j's start
+        # are tied, yet i {b} j orders them
+        bad = Qcn.universal(("i", "j", "k"))
+        bad = bad.set_constraint("i", "j", B).set_constraint("j", "k", RelationSet.parse("mi"))
+        bad = bad.set_constraint("i", "k", RelationSet.parse("f"))
+        with pytest.raises(UnrealizableScenarioError) as info:
+            realize_scenario(bad)
+        assert str(info.value) == "endpoint cycle through (0, 1) and (1, 0)"
 
     def test_schedules_satisfy_their_network(self, rng):
         verified = 0
