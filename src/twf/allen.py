@@ -122,10 +122,6 @@ class RelationSet:
         return RelationSet(self.bits & ~other.bits)
 
     @property
-    def is_universal(self) -> bool:
-        return self.bits == _ALL_BITS
-
-    @property
     def is_singleton(self) -> bool:
         return self.bits.bit_count() == 1
 

@@ -11,7 +11,7 @@ Grammar (terms may carry a reference label; ``#`` starts a line comment):
                 | [label ":"] "(" expr ")"
     atom       := identifier | quoted-string
     constraint := ref relset ref ";"
-    relset     := "{" rel ("," rel)* "}"
+    relset     := "{" [rel ("," rel)*] "}"
     ref        := atom-name | label
 
 A ``->`` chain becomes one sequence node and each ``and{}``/``or{}`` group
@@ -20,7 +20,7 @@ keep the source nesting.  Brackets (``(``, ``and{``, ``or{``, ``loop{``)
 nest at most MAX_NESTING levels deep.  Atom names may be single- or
 double-quoted strings (backslash escapes), so activities can be whole
 phrases.  Constraint references resolve to interval variables of the
-attached network.
+attached network.  An empty ``relset`` is the inconsistent constraint.
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ class _Parser:
 
     def relset(self) -> RelationSet:
         self.expect("{", "a relation set")
+        if self.current.kind == "}":
+            # the empty set, which the printer writes for an inconsistent constraint
+            self.advance()
+            return RelationSet(0)
         bits = 0
         while True:
             token = self.expect("IDENT", "a relation token")

@@ -268,64 +268,30 @@ def is_consistent(n: Qcn) -> bool:
 def realize_scenario(s: Qcn) -> Schedule:
     """A concrete rational schedule witnessing an atomic scenario.
 
-    Builds the endpoint order graph that every singleton relation's
-    endpoint order (:data:`~twf.allen.ENDPOINT_RANKS`) implies,
-    layers it topologically, re-checks every constraint on the integer
-    layers, and returns the layers as rationals.  Endpoint ``side`` (0 for
-    the start, 1 for the end) of variable v is point 2v + side.
+    Every singleton relation fixes the order of its four endpoints
+    (:data:`~twf.allen.ENDPOINT_RANKS`), so each endpoint is placed on
+    the layer given by how many endpoints lie below it: tied endpoints
+    count the same, and a later one counts more.  Every constraint is
+    re-checked on the integer layers, which fails exactly when no
+    schedule exists, and the layers are returned as rationals.  Endpoint
+    ``side`` (0 for the start, 1 for the end) of variable v is point
+    2v + side.
     """
     if not s.is_scenario:
         raise ValueError("network is not an atomic scenario")
     count = len(s.variables)
-    parent = list(range(2 * count))
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    strict = [(2 * v, 2 * v + 1) for v in range(count)]
+    below = [0, 1] * count  # an end lies above its own start
     for i in range(count):
         row = s.constraints[i]
         for j in range(i + 1, count):
-            ranks = _RANKS[row[j].bit_length() - 1]
-            ends = sorted(zip(ranks, (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)))
-            # consecutive endpoints of the two intervals: tied or ordered
-            for (rank_a, a), (rank_b, b) in zip(ends, ends[1:]):
-                if a >> 1 != b >> 1:
-                    if rank_a == rank_b:
-                        parent[find(a)] = find(b)
-                    else:
-                        strict.append((a, b))
+            lo1, hi1, lo2, hi2 = _RANKS[row[j].bit_length() - 1]
+            below[2 * i] += (lo2 < lo1) + (hi2 < lo1)
+            below[2 * i + 1] += (lo2 < hi1) + (hi2 < hi1)
+            below[2 * j] += (lo1 < lo2) + (hi1 < lo2)
+            below[2 * j + 1] += (lo1 < hi2) + (hi1 < hi2)
 
-    edges: dict[int, set[int]] = {}
-    indegree = {find(p): 0 for p in range(2 * count)}
-    for a, b in strict:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise UnrealizableScenarioError(
-                f"endpoint cycle through {divmod(a, 2)} and {divmod(b, 2)}"
-            )
-        if rb not in edges.setdefault(ra, set()):
-            edges[ra].add(rb)
-            indegree[rb] += 1
-
-    layer = dict.fromkeys(indegree, 0)
-    ready = deque(node for node, deg in indegree.items() if deg == 0)
-    seen = 0
-    while ready:
-        node = ready.popleft()
-        seen += 1
-        for succ in edges.get(node, ()):
-            layer[succ] = max(layer[succ], layer[node] + 1)
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if seen != len(indegree):
-        raise UnrealizableScenarioError("cyclic endpoint ordering")
-
-    at = [layer[find(p)] for p in range(2 * count)]
+    layer = {b: k for k, b in enumerate(sorted(set(below)))}
+    at = [layer[b] for b in below]
     for i in range(count):
         row = s.constraints[i]
         for j in range(i + 1, count):

@@ -260,6 +260,27 @@ class TestRoundTrip:
         reparsed = parse(printed).extended
         assert constraint_set(free) == constraint_set(reparsed)
 
+    @pytest.mark.parametrize(
+        "text, transform",
+        [
+            # the sequence-free transform intersects {o} with the {b, m} of the sequence
+            ("workflow w = \"a b\" -> c\nconstraints { \"a b\" {o} c; }", "seqfree"),
+            ("workflow w = a -> b\nconstraints { a {b} b; a {m} b; }", "normalize"),
+        ],
+        ids=["seqfree", "normalize"],
+    )
+    def test_empty_relation_set_round_trips(self, text, transform):
+        from twf.extended import sequence_free
+
+        ew = parse_extended(text)
+        if transform == "seqfree":
+            ew = sequence_free(ew)
+        printed = format_document(ew, "w")
+        assert " {} " in printed
+        reparsed = parse_extended(printed)
+        assert constraint_set(reparsed) == constraint_set(ew)
+        assert format_document(reparsed, "w") == printed
+
     def test_self_constraint_round_trips(self):
         ew = parse_extended("workflow w = or{ p | q }\nconstraints { p {b} p; }")
         assert list(ew.network.degenerate_diagonal())
