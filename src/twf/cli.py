@@ -29,7 +29,7 @@ from .qcn import (
     entails,
     is_consistent,
     path_consistency,
-    realize_scenario,
+    realize_scenario,  # not called here, but perfbench's tracer wraps cli's names
     scenarios,
 )
 from .semantics import (
@@ -169,11 +169,11 @@ def _cmd_strong_check(args) -> int:
 def _cmd_scenario(args) -> int:
     doc = _load(args.file)
     free = sequence_free(doc.extended)
-    scenario = next(scenarios(free.network), None)
-    if scenario is None:
+    found = next(scenarios(free.network), None)
+    if found is None:
         print("no realizable scenario: the network is inconsistent")
         return 1
-    schedule = realize_scenario(scenario)
+    scenario, schedule = found
     if not check_schedule(free.network, schedule):
         print("error: schedule failed re-verification", file=sys.stderr)
         return 2

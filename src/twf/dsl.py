@@ -21,21 +21,26 @@ nest at most MAX_NESTING levels deep.  Atom names may be single- or
 double-quoted strings (backslash escapes), so activities can be whole
 phrases.  Constraint references resolve to interval variables of the
 attached network.  An empty ``relset`` is the inconsistent constraint.
+
+Tokens and nodes carry text offsets; a 1-based ``line:col`` is worked out
+from an offset only when a diagnostic or :attr:`ParsedDocument.node_spans`
+needs it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional
+from functools import cached_property
+from typing import Optional
 
-from .allen import Relation, RelationSet
+from .allen import RELATIONS, Relation, RelationSet
 from .extended import (
     ExtendedWorkflow,
     KeyResolutionError,
+    _validate,
     key_census,
     lookup_key,
-    validate,
     variable_paths,
 )
 from .qcn import Qcn
@@ -49,6 +54,7 @@ from .workflow import (
     Workflow,
     fresh_occ,
     iter_nodes,
+    node_at,
     normalize,
 )
 
@@ -78,221 +84,212 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, STRING, ARROW, one-char punctuation, EOF
-    value: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line:col of a text offset; every character but a newline
+    is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-# One alternative per token kind, tried in order.  A quoted name ends on
-# its own line unless a backslash escapes the newline; a quote that starts
-# no such name falls through to BAD, as does any character no token takes.
+# A token is (kind, value, offset): the kind is IDENT, STRING, ARROW, EOF or
+# the punctuation character itself, and the offset indexes the source text.
+Token = tuple[str, str, int]
+
+# A bare name: an identifier token, and what the printer leaves unquoted.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Blanks and comments, then one alternative per token kind.  The blanks and
+# comments can be read only one way, so the prefix never backtracks.  A
+# quoted name ends on its own line unless a backslash escapes the newline; a
+# quote that starts no such name falls through to BAD, as does any
+# character no token takes.
 _TOKEN_RE = re.compile(
-    r"""(?P<STRING>'(?:\\.|[^\\'\n])*'|"(?:\\.|[^\\"\n])*")"""
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<ARROW>->)|(?P<PUNCT>[{}():;|,=])"
-    r"|(?P<SKIP>[ \t\r\n]+)|(?P<COMMENT>#[^\n]*)|(?P<BAD>.)",
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    rf"(?:(?P<IDENT>{_NAME_RE.pattern})|(?P<PUNCT>[{{}}():;|,=])|(?P<ARROW>->)"
+    r"""|(?P<STRING>'(?:\\.|[^\\'\n])*'|"(?:\\.|[^\\"\n])*")|(?P<EOF>\Z)|(?P<BAD>.))""",
     re.DOTALL,
 )
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> Iterator[Token]:
-    """Tokens with 1-based line:col positions; every character but a
-    newline is one column."""
-    line, line_start, end = 1, 0, 0
+def _tokenize(text: str) -> list[Token]:
+    """The tokens of a text, up to and including EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
     for match in _TOKEN_RE.finditer(text):
-        kind, start, end = match.lastgroup, match.start(), match.end()
-        col = start - line_start + 1
+        kind = match.lastgroup
         if kind in ("IDENT", "ARROW", "PUNCT"):
-            value = match.group()
-            yield Token(value if kind == "PUNCT" else kind, value, line, col)
-            continue
-        if kind == "BAD":
-            ch = match.group()
-            message = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
-            raise ParseError([Diagnostic(line, col, message)])
-        if kind == "COMMENT":
-            end = start  # input that ends in a comment ends at its '#'
-            continue
-        if kind == "STRING":
-            yield Token(kind, _ESCAPE_RE.sub(r"\1", text[start + 1 : end - 1]), line, col)
-        # only blanks and quoted names span newlines
-        newline = text.rfind("\n", start, end)
-        if newline >= 0:
-            line += text.count("\n", start, end)
-            line_start = newline + 1
-    yield Token("EOF", "", line, end - line_start + 1)
+            start, end = match.span(kind)
+            value = text[start:end]
+            append((value if kind == "PUNCT" else kind, value, start))
+        elif kind == "STRING":
+            start, end = match.span(kind)
+            append((kind, _ESCAPE_RE.sub(r"\1", text[start + 1 : end - 1]), start))
+        elif kind == "EOF":
+            # input that ends in a comment ends at its '#', the first one on
+            # the last line, for only blanks and comments follow the last token
+            start = match.start()
+            comment = text.find("#", max(start, text.rfind("\n", start) + 1))
+            append((kind, "", len(text) if comment < 0 else comment))
+            break
+        else:
+            char, start = match[kind], match.start(kind)
+            message = "unterminated string" if char in "'\"" else f"unexpected character {char!r}"
+            raise ParseError([Diagnostic(*_position(text, start), message)])
+    return tokens
 
 
 @dataclass
 class ParsedDocument:
     """A parsed source file: text, workflow name, the extended workflow,
-    and the source location of each node (by path)."""
+    and the text offset each node starts at (by ``id`` of the node)."""
 
     text: str
     name: str
     extended: ExtendedWorkflow
-    node_spans: dict[Path, tuple[int, int]] = field(default_factory=dict)
+    offsets: dict[int, int] = field(default_factory=dict)
+
+    @cached_property
+    def node_spans(self) -> dict[Path, tuple[int, int]]:
+        """The line:col each node (by path) starts at."""
+        return {
+            path: _position(self.text, self.offsets.get(id(node), 0))
+            for path, node in iter_nodes(self.extended.workflow)
+        }
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.spans: dict[int, tuple[int, int]] = {}
+        self.offsets: dict[int, int] = {}
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, offset: Optional[int] = None) -> ParseError:
+        offset = self.tokens[self.pos][2] if offset is None else offset
+        return ParseError([Diagnostic(*_position(self.text, offset), message)])
 
-    def advance(self) -> Token:
-        token = self.current
+    def expect(self, kind: str, what: str) -> Token:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise self.fail(f"expected {what}")
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: Optional[Token] = None) -> "ParseError":
-        token = token or self.current
-        return ParseError([Diagnostic(token.line, token.col, message)])
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.current.kind != kind:
-            raise self.fail(f"expected {what}")
-        return self.advance()
-
-    def keyword(self, word: str) -> Token:
-        if self.current.kind != "IDENT" or self.current.value != word:
-            raise self.fail(f"expected keyword {word!r}")
-        return self.advance()
-
     # --- grammar
 
-    def document(self) -> tuple[str, Workflow, list[tuple[str, RelationSet, str, Token]]]:
-        self.keyword("workflow")
-        name = self.expect("IDENT", "a workflow name")
+    def document(self) -> tuple[str, Workflow, list[tuple[str, int, str, int]]]:
+        """The name, the tree, and the constraints as (left, bits, right, offset)."""
+        if self.tokens[0][:2] != ("IDENT", "workflow"):
+            raise self.fail("expected keyword 'workflow'")
+        self.pos = 1
+        name = self.expect("IDENT", "a workflow name")[1]
         self.expect("=", "'='")
         tree = self.expr()
-        constraints: list[tuple[str, RelationSet, str, Token]] = []
-        if self.current.kind == "IDENT" and self.current.value == "constraints":
-            self.advance()
+        constraints: list[tuple[str, int, str, int]] = []
+        if self.tokens[self.pos][:2] == ("IDENT", "constraints"):
+            self.pos += 1
             self.expect("{", "'{'")
-            while self.current.kind != "}":
-                constraints.append(self.constraint())
-            self.expect("}", "'}'")
-        if self.current.kind != "EOF":
+            bit_of = {r.token: r.bit for r in RELATIONS}
+            while self.tokens[self.pos][0] != "}":
+                constraints.append(self.constraint(bit_of))
+            self.pos += 1
+        if self.tokens[self.pos][0] != "EOF":
             raise self.fail("unexpected trailing input")
-        return name.value, tree, constraints
+        return name, tree, constraints
 
     def expr(self) -> Workflow:
-        parts = [self.term()]
-        while self.current.kind == "ARROW":
-            self.advance()
+        first = self.term()
+        if self.tokens[self.pos][0] != "ARROW":
+            return first
+        parts = [first]
+        while self.tokens[self.pos][0] == "ARROW":
+            self.pos += 1
             parts.append(self.term())
-        if len(parts) == 1:
-            return parts[0]
-        return self._note(Seq(tuple(parts)), self.spans[id(parts[0])])
+        seq = Seq(tuple(parts))
+        self.offsets[id(seq)] = self.offsets[id(first)]
+        return seq
 
     def bracketed(self, opener: Token, closer: str, sep: Optional[str] = None) -> list[Workflow]:
         """The expressions up to the closing bracket: one, or with a
         separator two or more."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.fail(f"brackets nest deeper than {MAX_NESTING} levels", opener)
+            raise self.fail(f"brackets nest deeper than {MAX_NESTING} levels", opener[2])
         parts = [self.expr()]
-        while sep is not None and self.current.kind == sep:
-            self.advance()
+        while sep is not None and self.tokens[self.pos][0] == sep:
+            self.pos += 1
             parts.append(self.expr())
         if sep is not None and len(parts) < 2:
-            raise self.fail(f"'{opener.value}' group needs at least two alternatives")
+            raise self.fail(f"'{opener[1]}' group needs at least two alternatives")
         self.expect(closer, f"'{closer}'")
         self.depth -= 1
         return parts
 
     def term(self) -> Workflow:
+        """One term; a labeled term starts at its label."""
+        tokens = self.tokens
+        kind, value, start = tokens[self.pos]
         label: Optional[str] = None
-        start = self.current
-        if (
-            self.current.kind == "IDENT"
-            and self.current.value not in RESERVED
-            and self.tokens[self.pos + 1].kind == ":"
-        ):
-            label = self.advance().value
-            self.advance()
-        token = self.current
-        if token.kind == "IDENT" and token.value in ("and", "or"):
-            self.advance()
-            self.expect("{", "'{'")
-            sep = ";" if token.value == "and" else "|"
-            parts = self.bracketed(token, "}", sep)
-            kind = Conj if token.value == "and" else Disj
-            out = self._note(kind(tuple(parts)), (start.line, start.col))
-            return self._label(out, label, start)
-        if token.kind == "IDENT" and token.value == "loop":
-            self.advance()
-            self.expect("{", "'{'")
-            (body,) = self.bracketed(token, "}")
-            return self._label(self._note(Loop(body), (start.line, start.col)), label, start)
-        if token.kind == "(":
-            self.advance()
-            (inner,) = self.bracketed(token, ")")
-            return self._label(inner, label, start)
-        if token.kind == "STRING" or (token.kind == "IDENT" and token.value not in RESERVED):
-            self.advance()
+        if kind == "IDENT" and tokens[self.pos + 1][0] == ":" and value not in RESERVED:
+            label = value
+            self.pos += 2
+            kind, value, _ = tokens[self.pos]
+        opener = tokens[self.pos]
+        self.pos += 1
+        node: Workflow
+        if kind == "STRING" or kind == "IDENT" and value not in RESERVED:
             # source order is preorder, so atoms are numbered as a walk meets them
-            leaf = Atomic(token.value, fresh_occ())
-            return self._label(self._note(leaf, (token.line, token.col)), label, start)
-        raise self.fail("expected an activity, group, or '('")
-
-    def constraint(self) -> tuple[str, RelationSet, str, Token]:
-        first = self.current
-        left = self.ref()
-        rels = self.relset()
-        right = self.ref()
-        self.expect(";", "';'")
-        return left, rels, right, first
-
-    def ref(self) -> str:
-        token = self.current
-        if token.kind == "STRING" or (token.kind == "IDENT" and token.value not in RESERVED):
-            self.advance()
-            return token.value
-        raise self.fail("expected an activity name or label")
-
-    def relset(self) -> RelationSet:
-        self.expect("{", "a relation set")
-        if self.current.kind == "}":
-            # the empty set, which the printer writes for an inconsistent constraint
-            self.advance()
-            return RelationSet(0)
-        bits = 0
-        while True:
-            token = self.expect("IDENT", "a relation token")
-            try:
-                bits |= Relation.from_token(token.value).bit
-            except ValueError:
-                raise self.fail(f"unknown relation {token.value!r}", token) from None
-            if self.current.kind == ",":
-                self.advance()
-                continue
-            break
-        self.expect("}", "'}'")
-        return RelationSet(bits)
-
-    # --- bookkeeping
-
-    def _note(self, node: Workflow, span: tuple[int, int]) -> Workflow:
-        self.spans[id(node)] = span
+            node = Atomic(value, fresh_occ(), label)
+        elif kind == "IDENT" and value in ("and", "or"):
+            self.expect("{", "'{'")
+            parts = tuple(self.bracketed(opener, "}", ";" if value == "and" else "|"))
+            node = Conj(parts, label) if value == "and" else Disj(parts, label)
+        elif kind == "IDENT" and value == "loop":
+            self.expect("{", "'{'")
+            (body,) = self.bracketed(opener, "}")
+            node = Loop(body, label)
+        elif kind == "(":
+            (node,) = self.bracketed(opener, ")")
+            if label is None:
+                return node
+            if node.label is not None:
+                raise self.fail(f"node already carries label {node.label!r}", start)
+            node = replace(node, label=label)
+        else:
+            raise self.fail("expected an activity, group, or '('", opener[2])
+        self.offsets[id(node)] = start
         return node
 
-    def _label(self, node: Workflow, label: Optional[str], start: Token) -> Workflow:
-        if label is None:
-            return node
-        if node.label is not None:
-            raise self.fail(f"node already carries label {node.label!r}", start)
-        relabeled = replace(node, label=label)
-        self.spans[id(relabeled)] = self.spans.get(id(node), (start.line, start.col))
-        return relabeled
+    def constraint(self, bit_of: dict[str, int]) -> tuple[str, int, str, int]:
+        offset = self.tokens[self.pos][2]
+        left = self.ref()
+        bits = self.relset(bit_of)
+        right = self.ref()
+        self.expect(";", "';'")
+        return left, bits, right, offset
+
+    def ref(self) -> str:
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "STRING" or kind == "IDENT" and value not in RESERVED:
+            self.pos += 1
+            return value
+        raise self.fail("expected an activity name or label")
+
+    def relset(self, bit_of: dict[str, int]) -> int:
+        self.expect("{", "a relation set")
+        bits = 0
+        # "{}" is the empty set, which the printer writes for an inconsistent constraint
+        more = self.tokens[self.pos][0] != "}"
+        while more:
+            _, value, offset = self.expect("IDENT", "a relation token")
+            if value not in bit_of:
+                raise self.fail(f"unknown relation {value!r}", offset)
+            bits |= bit_of[value]
+            more = self.tokens[self.pos][0] == ","
+            self.pos += more
+        self.expect("}", "'}'")
+        return bits
 
 
 def parse(text: str) -> ParsedDocument:
@@ -304,12 +301,11 @@ def parse(text: str) -> ParsedDocument:
     """
     parser = _Parser(text)
     name, tree, raw_constraints = parser.document()
-    node_spans = {path: parser.spans.get(id(node), (1, 1)) for path, node in iter_nodes(tree)}
 
     diagnostics: list[Diagnostic] = []
     census = key_census(tree)
     variables: dict[str, None] = {}
-    for left, _, right, token in raw_constraints:
+    for left, _, right, offset in raw_constraints:
         for key in (left, right):
             if key in variables:
                 continue
@@ -317,30 +313,30 @@ def parse(text: str) -> ParsedDocument:
                 lookup_key(census, key)
                 variables[key] = None
             except KeyResolutionError as exc:
-                diagnostics.append(Diagnostic(token.line, token.col, str(exc)))
+                diagnostics.append(Diagnostic(*_position(text, offset), str(exc)))
     if diagnostics:
         raise ParseError(diagnostics)
 
     network = Qcn.universal(tuple(variables))
-    for left, rels, right, _ in raw_constraints:
-        network = network.set_constraint(left, right, rels)
+    for left, bits, right, _ in raw_constraints:
+        network = network.set_constraint(left, right, RelationSet(bits))
     extended = ExtendedWorkflow(tree, network, {key: key for key in variables})
 
-    report = validate(extended)
+    report = _validate(extended, census)
     if not report.ok:
-        span_of = {}
-        for left, _, right, token in raw_constraints:
-            span_of.setdefault(frozenset((left, right)), (token.line, token.col))
+        offset_of: dict[frozenset[str], int] = {}
+        for left, _, right, offset in raw_constraints:
+            offset_of.setdefault(frozenset((left, right)), offset)
         for violation in report.violations:
-            line, col = (1, 1)
+            offset = 0
             if violation.constraint is not None:
-                line, col = span_of.get(frozenset(violation.constraint), (1, 1))
+                offset = offset_of.get(frozenset(violation.constraint), 0)
             elif violation.kind == "duplicate-label":
-                line, col = node_spans[violation.paths[-1]]
-            diagnostics.append(Diagnostic(line, col, violation.message))
+                offset = parser.offsets[id(node_at(tree, violation.paths[-1]))]
+            diagnostics.append(Diagnostic(*_position(text, offset), violation.message))
         raise ParseError(diagnostics)
 
-    return ParsedDocument(text, name, extended, node_spans)
+    return ParsedDocument(text, name, extended, parser.offsets)
 
 
 def parse_extended(text: str) -> ExtendedWorkflow:
@@ -352,8 +348,7 @@ def parse_extended(text: str) -> ExtendedWorkflow:
 
 
 def _quote(name: str) -> str:
-    bare = _TOKEN_RE.fullmatch(name)
-    if bare and bare.lastgroup == "IDENT" and name not in RESERVED:
+    if _NAME_RE.fullmatch(name) and name not in RESERVED:
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\\n")
     return f"'{escaped}'"

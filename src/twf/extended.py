@@ -148,6 +148,11 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
     Constraints may relate a loop node to anything alongside it, but never
     a node inside a loop body to one outside that body.
     """
+    return _validate(ew, key_census(ew.workflow))
+
+
+def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> ValidationReport:
+    """:func:`validate` with the tree's :func:`key_census` already built."""
     violations: list[Violation] = []
     seen_labels: dict[str, Path] = {}
     for path, node in iter_nodes(ew.workflow):
@@ -160,7 +165,6 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
                 )
             )
 
-    census = key_census(ew.workflow)
     key_paths: dict[str, Path] = {}
     for key in ew.r_map:
         try:

@@ -207,8 +207,9 @@ def path_consistency(n: Qcn) -> tuple[Qcn, bool]:
 # Scenario search
 
 
-def scenarios(n: Qcn) -> Iterator[Qcn]:
-    """All realizable atomic scenarios of the network.
+def scenarios(n: Qcn) -> Iterator[tuple[Qcn, Schedule]]:
+    """All realizable atomic scenarios of the network, each with the
+    schedule that realizes it.
 
     Backtracking over basic-relation choices edge by edge, path consistency
     after every assignment, candidate scenarios re-verified by schedule
@@ -252,8 +253,7 @@ def scenarios(n: Qcn) -> Iterator[Qcn]:
             stack.append(refinements(matrix, *best))
             continue
         scenario = Qcn(n.variables, tuple(map(tuple, matrix)))
-        realize_scenario(scenario)
-        yield scenario
+        yield scenario, realize_scenario(scenario)
 
 
 def is_consistent(n: Qcn) -> bool:

@@ -108,12 +108,19 @@ class TestParse:
         assert constraint_set(ew) == {("a", "b", "b m eq")}
 
     def test_duplicate_label_rejected(self):
-        # located at the second use of the label
-        with pytest.raises(ParseError) as info:
-            parse("workflow w = x: and{ a ; b } -> x: or{ c | d }")
-        assert [str(d) for d in info.value.diagnostics] == [
-            "1:33: label 'x' is used more than once"
+        # located at the second use of the label; a labeled atom or
+        # parenthesised term starts at its label, like a labeled group
+        cases = [
+            ("workflow w = x: and{ a ; b } -> x: or{ c | d }", "1:33"),
+            ("workflow w = x: a -> x: b", "1:22"),
+            ("workflow w = x: a -> x: (c -> d)", "1:22"),
         ]
+        for text, position in cases:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert [str(d) for d in info.value.diagnostics] == [
+                f"{position}: label 'x' is used more than once"
+            ], text
 
     def test_ambiguous_atom_reference(self):
         with pytest.raises(ParseError) as info:

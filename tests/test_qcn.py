@@ -191,7 +191,7 @@ class TestConsistency:
         n = Qcn.universal(("i", "j")).set_constraint("i", "j", BM)
         found = list(scenarios(n))
         assert len(found) == 2
-        got = {s.get("i", "j").single() for s in found}
+        got = {s.get("i", "j").single() for s, _ in found}
         assert got == {Relation.BEFORE, Relation.MEETS}
 
     def test_agrees_with_bruteforce(self, rng):
@@ -205,7 +205,7 @@ class TestConsistency:
         for _ in range(60):
             n = random_network(rng, rng.randint(2, 4))
             pairs = [(vi, vj) for i, vi in enumerate(n.variables) for vj in n.variables[i + 1:]]
-            found = [tuple(s.get(vi, vj).single() for vi, vj in pairs) for s in scenarios(n)]
+            found = [tuple(s.get(vi, vj).single() for vi, vj in pairs) for s, _ in scenarios(n)]
             realized = {
                 tuple(relation_between(model[vi], model[vj]) for vi, vj in pairs)
                 for model in network_models_bruteforce(n)
@@ -223,7 +223,7 @@ class TestConsistency:
 
     def test_scenarios_are_atomic_and_coherent(self, rng):
         n = random_network(rng, 4, tightness=0.8)
-        for s in scenarios(n):
+        for s, _ in scenarios(n):
             assert s.is_scenario
             for vi in n.variables:
                 for vj in n.variables:
@@ -270,8 +270,9 @@ class TestRealization:
         verified = 0
         for _ in range(60):
             n = random_network(rng, rng.randint(2, 4))
-            for s in scenarios(n):
-                schedule = realize_scenario(s)
+            for s, schedule in scenarios(n):
+                # the schedule handed out is the one realization builds
+                assert schedule == realize_scenario(s)
                 assert check_schedule(n, schedule)
                 verified += 1
                 break
@@ -285,8 +286,7 @@ class TestRealization:
 
         doc = parse(corpus_path("recette.twf").read_text(encoding="utf-8"))
         free = sequence_free(doc.extended)
-        scenario = next(scenarios(free.network))
-        schedule = realize_scenario(scenario)
+        _, schedule = next(scenarios(free.network))
         searing = schedule["saisir le foie gras"]
         frying = schedule["frire le tournedos"]
         assert relation_between(searing, frying) is Relation.FINISHES
