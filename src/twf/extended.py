@@ -153,17 +153,17 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
 
 def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> ValidationReport:
     """:func:`validate` with the tree's :func:`key_census` already built."""
-    violations: list[Violation] = []
-    seen_labels: dict[str, Path] = {}
-    for path, node in iter_nodes(ew.workflow):
-        if node.label is not None and seen_labels.setdefault(node.label, path) != path:
-            violations.append(
-                Violation(
-                    "duplicate-label",
-                    f"label {node.label!r} is used more than once",
-                    paths=(seen_labels[node.label], path),
-                )
-            )
+    # a key with several paths may be a label used twice (unlabeled atoms of
+    # its name are filed under it too); lexicographic path order is preorder
+    repeats = []
+    for key, paths in census.items():
+        if len(paths) > 1:
+            labeled = [p for p in paths if node_at(ew.workflow, p).label == key]
+            repeats += [(later, labeled[0], key) for later in labeled[1:]]
+    violations = [
+        Violation("duplicate-label", f"label {key!r} is used more than once", paths=(first, later))
+        for later, first, key in sorted(repeats)
+    ]
 
     key_paths: dict[str, Path] = {}
     for key in ew.r_map:
@@ -172,17 +172,6 @@ def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> Validat
         except KeyResolutionError as exc:
             violations.append(Violation("unresolved-key", str(exc)))
 
-    by_path: dict[Path, str] = {}
-    for key, path in key_paths.items():
-        if path in by_path:
-            violations.append(
-                Violation(
-                    "non-injective",
-                    f"keys {by_path[path]!r} and {key!r} denote the same node",
-                    paths=(path,),
-                )
-            )
-        by_path[path] = key
     variables: dict[str, str] = {}
     for key, var in ew.r_map.items():
         if var in variables:
@@ -195,6 +184,7 @@ def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> Validat
         variables[var] = key
 
     var_paths = {ew.r_map[key]: path for key, path in key_paths.items()}
+    scopes = {var: _loop_context(ew.workflow, path) for var, path in var_paths.items()}
     constrained = [(vi, vj) for vi, vj, _ in ew.network.nontrivial_pairs()]
     constrained += [(name, name) for name, _ in ew.network.degenerate_diagonal()]
     for vi, vj in constrained:
@@ -209,23 +199,25 @@ def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> Validat
                     )
                 )
             continue
-        pi, pj = var_paths[vi], var_paths[vj]
-        if _loop_context(ew.workflow, pi) != _loop_context(ew.workflow, pj):
+        if scopes[vi] != scopes[vj]:
             violations.append(
                 Violation(
                     "loop-boundary",
                     f"constraint between {vi!r} and {vj!r} crosses a loop boundary",
                     constraint=(vi, vj),
-                    paths=(pi, pj),
+                    paths=(var_paths[vi], var_paths[vj]),
                 )
             )
     return ValidationReport(tuple(violations))
 
 
-def _require_valid(ew: ExtendedWorkflow) -> None:
-    report = validate(ew)
+def _require_valid(ew: ExtendedWorkflow) -> dict[str, list[Path]]:
+    """The tree's :func:`key_census`, once the extended workflow is valid."""
+    census = key_census(ew.workflow)
+    report = _validate(ew, census)
     if not report.ok:
         raise InvalidExtendedWorkflowError(report)
+    return census
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +245,15 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
     a variable (and a minted label if they have none).  The result is
     normalized, which flattens the freshly created conjunctions.
     """
-    _require_valid(ew)
+    # the transform keeps every path and every key, so the census still holds
+    census = _require_valid(ew)
     pairs: list[tuple[Path, Path]] = []
+    names: set[str] = set()
 
     def go(node: Workflow, path: Path) -> tuple[Workflow, Path, Path]:
         match node:
-            case Atomic():
+            case Atomic(name):
+                names.add(name)
                 return node, path, path
             case Seq(parts, label):
                 new_part, start, end = go(parts[0], path + (0,))
@@ -274,10 +269,8 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
 
     tree, _, _ = go(ew.workflow, ())
 
-    census = key_census(tree)
     # the census keys are every label and the names of unlabeled atoms
-    taken = set(ew.r_map) | set(ew.r_map.values()) | set(census)
-    taken |= {node.name for _, node in iter_nodes(tree) if isinstance(node, Atomic)}
+    taken = set(ew.r_map) | set(ew.r_map.values()) | set(census) | names
     fresh = (f"n{i}" for i in itertools.count(1) if f"n{i}" not in taken)
     minted: dict[Path, str] = {}
     r_map = dict(ew.r_map)
@@ -298,6 +291,10 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
         return r_map[key]
 
     var_pairs = [(var_for(a), var_for(b)) for a, b in pairs]
+    # a label that now keys a variable must not also match atoms of its name
+    for key in r_map:
+        if len(census.get(key, ())) > 1:
+            minted.update((p, next(fresh)) for p in census[key] if node_at(tree, p).label is None)
     network = ew.network.with_variable(*(var for pair in var_pairs for var in pair))
     for var_a, var_b in var_pairs:
         network = network.set_constraint(var_a, var_b, SEQUENCE_RELATIONS)

@@ -130,9 +130,9 @@ def with_children(node: Workflow, kids: Sequence[Workflow]) -> Workflow:
     return type(node)(tuple(kids), node.label)
 
 
-def iter_nodes(w: Workflow, prefix: Path = ()) -> Iterator[tuple[Path, Workflow]]:
+def iter_nodes(w: Workflow) -> Iterator[tuple[Path, Workflow]]:
     """Preorder traversal yielding (path, node) pairs."""
-    stack = [(prefix, w)]
+    stack = [((), w)]
     while stack:
         path, node = stack.pop()
         yield path, node
@@ -275,8 +275,9 @@ def resolutions(w: Workflow, bound: int) -> tuple[tuple[Resolution, int], ...]:
     """
     if bound < 1:
         raise ValueError(f"loop bound must be >= 1, got {bound}")
-    points = [(p, n, range(len(n.parts))) for p, n in iter_nodes(w) if isinstance(n, Disj)]
-    points += [(p, n, range(1, bound + 1)) for p, n in iter_nodes(w) if isinstance(n, Loop)]
+    nodes = list(iter_nodes(w))
+    points = [(p, n, range(len(n.parts))) for p, n in nodes if isinstance(n, Disj)]
+    points += [(p, n, range(1, bound + 1)) for p, n in nodes if isinstance(n, Loop)]
     partial = [Resolution({}, {})]
     for path, node, options in points:
         grown = []

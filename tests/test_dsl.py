@@ -121,6 +121,13 @@ class TestParse:
             assert [str(d) for d in info.value.diagnostics] == [
                 f"{position}: label 'x' is used more than once"
             ], text
+        # several duplicates come out in source order of their second use
+        with pytest.raises(ParseError) as info:
+            parse("workflow w = x: a -> y: b -> y: c -> x: d")
+        assert [str(d) for d in info.value.diagnostics] == [
+            "1:30: label 'y' is used more than once",
+            "1:38: label 'x' is used more than once",
+        ]
 
     def test_ambiguous_atom_reference(self):
         with pytest.raises(ParseError) as info:

@@ -1,20 +1,29 @@
 """Extended workflows: validation, the sequence-free form, strong and
 bounded satisfiability, and the sufficient subsumption condition."""
 
+from typing import Mapping
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_extended, rand_workflow
-from twf.allen import RelationSet
+from twf.allen import RELATIONS, RelationSet
 from twf.dsl import format_document, parse_extended
 from twf.extended import (
     ExtendedWorkflow,
     InvalidExtendedWorkflowError,
     KeyResolutionError,
     LabelMapError,
+    ValidationReport,
+    Violation,
+    _loop_context,
     check_satisfiable,
     check_strong_satisfiable,
     embed,
     find_witness,
+    key_census,
+    lookup_key,
     refutes_plan,
     resolve_key,
     sequence_free,
@@ -27,7 +36,9 @@ from twf.semantics import AtomBudgetError, find_model, hull_obligation
 from twf.workflow import (
     Atomic,
     Conj,
+    Disj,
     Loop,
+    Path,
     Seq,
     SubsumptionVerdict,
     atom,
@@ -54,6 +65,134 @@ def counterexample() -> ExtendedWorkflow:
     net = net.set_constraint("gamma", "delta", B)
     net = net.set_constraint("delta", "alpha", B)
     return ExtendedWorkflow(w, net, {"alpha": "alpha", "gamma": "gamma", "delta": "delta"})
+
+
+# ---------------------------------------------------------------------------
+# Reference: validation as it was before it read duplicate labels from the
+# census, walking the tree for labels and to each constrained node twice
+
+
+def reference_validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> ValidationReport:
+    """:func:`validate` with the tree's :func:`key_census` already built."""
+    violations: list[Violation] = []
+    seen_labels: dict[str, Path] = {}
+    for path, node in iter_nodes(ew.workflow):
+        if node.label is not None and seen_labels.setdefault(node.label, path) != path:
+            violations.append(
+                Violation(
+                    "duplicate-label",
+                    f"label {node.label!r} is used more than once",
+                    paths=(seen_labels[node.label], path),
+                )
+            )
+
+    key_paths: dict[str, Path] = {}
+    for key in ew.r_map:
+        try:
+            key_paths[key] = lookup_key(census, key)
+        except KeyResolutionError as exc:
+            violations.append(Violation("unresolved-key", str(exc)))
+
+    by_path: dict[Path, str] = {}
+    for key, path in key_paths.items():
+        if path in by_path:
+            violations.append(
+                Violation(
+                    "non-injective",
+                    f"keys {by_path[path]!r} and {key!r} denote the same node",
+                    paths=(path,),
+                )
+            )
+        by_path[path] = key
+    variables: dict[str, str] = {}
+    for key, var in ew.r_map.items():
+        if var in variables:
+            violations.append(
+                Violation(
+                    "non-injective",
+                    f"keys {variables[var]!r} and {key!r} share the variable {var!r}",
+                )
+            )
+        variables[var] = key
+
+    var_paths = {ew.r_map[key]: path for key, path in key_paths.items()}
+    constrained = [(vi, vj) for vi, vj, _ in ew.network.nontrivial_pairs()]
+    constrained += [(name, name) for name, _ in ew.network.degenerate_diagonal()]
+    for vi, vj in constrained:
+        missing = [v for v in (vi, vj) if v not in var_paths]
+        if missing:
+            for v in dict.fromkeys(missing):
+                violations.append(
+                    Violation(
+                        "unmapped-variable",
+                        f"constrained variable {v!r} is not attached to any subworkflow",
+                        constraint=(vi, vj),
+                    )
+                )
+            continue
+        pi, pj = var_paths[vi], var_paths[vj]
+        if _loop_context(ew.workflow, pi) != _loop_context(ew.workflow, pj):
+            violations.append(
+                Violation(
+                    "loop-boundary",
+                    f"constraint between {vi!r} and {vj!r} crosses a loop boundary",
+                    constraint=(vi, vj),
+                    paths=(pi, pj),
+                )
+            )
+    return ValidationReport(tuple(violations))
+
+
+# The label and atom-name pools overlap, so labels repeat and clash with
+# atom names; "ghost" keys no node and "u" is never mapped.
+_NAMES = ("a", "b", "c", "d", "e", "f", "g", "x", "y")
+_LABELS = ("a", "x", "y", "z")
+_VARIABLES = ("v0", "v1", "v2", "v3", "v4")
+
+
+def _labeled(kind, parts, label):
+    return Loop(parts[0], label) if kind is Loop else kind(tuple(parts), label)
+
+
+_LABEL_OR_NONE = st.sampled_from((None,) * 6 + _LABELS)
+_TREES = st.recursive(
+    st.builds(Atomic, st.sampled_from(_NAMES), st.just(0), _LABEL_OR_NONE),
+    lambda kids: st.builds(
+        _labeled,
+        st.sampled_from((Seq, Conj, Disj, Loop)),
+        st.lists(kids, min_size=2, max_size=3),
+        _LABEL_OR_NONE,
+    ),
+    max_leaves=6,
+)
+# a loop beside the rest of the tree, so that constraints may cross into it
+_ROOTS = st.builds(
+    _labeled,
+    st.sampled_from((Seq, Conj, Disj)),
+    st.tuples(_TREES, st.builds(Loop, _TREES, _LABEL_OR_NONE)),
+    _LABEL_OR_NONE,
+)
+
+
+@st.composite
+def _clashing_extended(draw) -> ExtendedWorkflow:
+    tree = draw(_ROOTS)
+    # mostly keys that denote one node, else ambiguous ones, names of labeled
+    # atoms, and "ghost"
+    nodes = [node for _, node in iter_nodes(tree)]
+    pool = {node.label for node in nodes} | {node.name for node in nodes if isinstance(node, Atomic)}
+    unique = [key for key, paths in key_census(tree).items() if len(paths) == 1]
+    key = st.sampled_from(sorted(pool - {None}) + ["ghost"])
+    if unique:
+        key = st.one_of(key, st.sampled_from(unique), st.sampled_from(unique))
+    keys = draw(st.lists(key, unique=True, min_size=1, max_size=5))
+    r_map = {key: draw(st.sampled_from(_VARIABLES)) for key in keys}
+    ends = st.sampled_from(sorted(set(r_map.values())) * 3 + ["u"])
+    network = Qcn.universal(_VARIABLES + ("u",))
+    for _ in range(draw(st.integers(0, 5))):
+        rels = draw(st.lists(st.sampled_from(RELATIONS), min_size=1, max_size=3))
+        network = network.set_constraint(draw(ends), draw(ends), RelationSet.of(*rels))
+    return ExtendedWorkflow(rename_occurrences(tree), network, r_map)
 
 
 class TestValidate:
@@ -113,6 +252,11 @@ class TestValidate:
         with pytest.raises(KeyResolutionError):
             resolve_key(w, "a")
 
+    @given(_clashing_extended())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, ew):
+        assert validate(ew) == reference_validate(ew, key_census(ew.workflow))
+
 
 class TestSequenceFree:
     def test_three_chain_gives_exactly_two_constraints(self):
@@ -153,8 +297,17 @@ class TestSequenceFree:
         assert isinstance(node, Conj)
 
     def test_idempotent(self, rng):
-        for _ in range(15):
-            ew = rand_extended(rng)
+        # labels that clash with atom names, keyed or not by a constraint
+        clashes = [
+            "workflow w = and{ y: a -> b ; y }",
+            "workflow w = y: a -> y -> b",
+            "workflow w = and{ a: b -> c ; b ; a }",
+            "workflow w = x: and{ a ; b } -> or{ x | c }",
+            "workflow w = loop{ y: a -> b } -> and{ y ; c }",
+            "workflow w = and{ x: a -> b ; x ; c }\nconstraints { c {b} b; }",
+        ]
+        documents = [parse_extended(text) for text in clashes]
+        for ew in documents + [rand_extended(rng) for _ in range(15)]:
             once = sequence_free(ew)
             assert validate(once).ok
             twice = sequence_free(once)
@@ -228,6 +381,17 @@ class TestMintedLabels:
             "    x {b, m} p;\n"
             "    x {bi, mi} n2;\n"
             "    x {b, m} n3;\n"
+            "}\n"
+        )
+
+
+    def test_label_keyed_by_a_variable_leaves_atoms_of_its_name(self):
+        # y labels the anchor a and now keys its variable; the atom y is
+        # minted a label so that y denotes one node
+        assert self.seqfree("workflow m = and{ y: a -> b ; y }\n") == (
+            "workflow m = and{ y: a ; b ; n1: y }\n"
+            "constraints {\n"
+            "    y {b, m} b;\n"
             "}\n"
         )
 

@@ -132,7 +132,6 @@ class TestIterNodes:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_recursive_walk(self, w):
         assert list(iter_nodes(w)) == list(reference_nodes(w))
-        assert list(iter_nodes(w, (3, 1))) == list(reference_nodes(w, (3, 1)))
 
 
 class TestSubworkflows:
