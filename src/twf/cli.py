@@ -16,13 +16,7 @@ from typing import TYPE_CHECKING, Optional
 from . import __version__
 from .allen import RELATIONS, Relation, RelationSet, UNIVERSAL, generate_composition_table, compose
 from .dsl import ParseError, export_dot, format_document, parse
-from .extended import (
-    ExtendedWorkflow,
-    InvalidExtendedWorkflowError,
-    refutes_plan,
-    sequence_free,
-    variable_paths,
-)
+from .extended import ExtendedWorkflow, refutes_plan, sequence_free, variable_paths
 from .qcn import (
     Qcn,
     check_schedule,
@@ -157,11 +151,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_strong_check(args) -> int:
     doc = _load(args.file)
-    try:
-        free = sequence_free(doc.extended)
-    except InvalidExtendedWorkflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    free = sequence_free(doc.extended)
     verdict = is_consistent(free.network)
     return _emit_verdict(args, "strongly-satisfiable", verdict, None, False, None)
 

@@ -35,14 +35,7 @@ from functools import cached_property
 from typing import Optional
 
 from .allen import RELATIONS, Relation, RelationSet
-from .extended import (
-    ExtendedWorkflow,
-    KeyResolutionError,
-    _validate,
-    key_census,
-    lookup_key,
-    variable_paths,
-)
+from .extended import ExtendedWorkflow, KeyResolutionError, lookup_key, variable_paths
 from .qcn import Qcn
 from .workflow import (
     Atomic,
@@ -302,27 +295,29 @@ def parse(text: str) -> ParsedDocument:
     parser = _Parser(text)
     name, tree, raw_constraints = parser.document()
 
+    # every key is a variable, in first-use order; the value is dropped
+    # unless they all resolve
+    keys = dict.fromkeys(key for left, _, right, _ in raw_constraints for key in (left, right))
+    network = Qcn.universal(tuple(keys))
+    for left, bits, right, _ in raw_constraints:
+        network = network.set_constraint(left, right, RelationSet(bits))
+    extended = ExtendedWorkflow(tree, network, {key: key for key in keys})
+
+    unresolved: dict[str, str] = {}
+    for key in keys:
+        try:
+            lookup_key(extended.census, key)
+        except KeyResolutionError as exc:
+            unresolved[key] = str(exc)
     diagnostics: list[Diagnostic] = []
-    census = key_census(tree)
-    variables: dict[str, None] = {}
     for left, _, right, offset in raw_constraints:
         for key in (left, right):
-            if key in variables:
-                continue
-            try:
-                lookup_key(census, key)
-                variables[key] = None
-            except KeyResolutionError as exc:
-                diagnostics.append(Diagnostic(*_position(text, offset), str(exc)))
+            if key in unresolved:
+                diagnostics.append(Diagnostic(*_position(text, offset), unresolved[key]))
     if diagnostics:
         raise ParseError(diagnostics)
 
-    network = Qcn.universal(tuple(variables))
-    for left, bits, right, _ in raw_constraints:
-        network = network.set_constraint(left, right, RelationSet(bits))
-    extended = ExtendedWorkflow(tree, network, {key: key for key in variables})
-
-    report = _validate(extended, census)
+    report = extended.report
     if not report.ok:
         offset_of: dict[frozenset[str], int] = {}
         for left, _, right, offset in raw_constraints:
@@ -414,7 +409,8 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
     Atoms become rounded boxes, conjunctions a fork/join bar pair,
     disjunctions a choice/merge diamond pair and loops an entry/exit
     diamond pair with a back edge.  Network constraints are rendered as
-    dashed labeled edges between the nodes standing for their ends.
+    dashed labeled edges between the nodes standing for their ends; a
+    constrained diagonal is a dashed self-edge labeled ``{}``.
     """
     counter = iter(range(10 ** 9))
     nodes: list[str] = []
@@ -493,6 +489,10 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
         b = anchor[key_paths[vj]]
         tokens = ", ".join(r.token for r in rels)
         edges.append(f'{a} -> {b} [style=dashed, label="{esc("{" + tokens + "}")}", constraint=false];')
+    for var, _ in ew.network.degenerate_diagonal():
+        # a constrained diagonal is always the empty set
+        a = anchor[key_paths[var]]
+        edges.append(f'{a} -> {a} [style=dashed, label="{{}}", constraint=false];')
 
     body = "\n".join(f"    {line}" for line in nodes + edges)
     return f'digraph "{esc(name)}" {{\n    rankdir=LR;\n{body}\n}}\n'

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .allen import Relation, RelationSet
-from .qcn import Qcn, entails, path_consistency
+from .qcn import Qcn, entails, is_consistent, path_consistency
 from .semantics import Hull, Model, find_model
 from .workflow import (
     Atomic,
@@ -62,12 +63,23 @@ class ExtendedWorkflow:
 
     ``r_map`` sends reference keys (labels, or unambiguous atom names) to
     network variables; it must be injective and cover every constrained
-    variable.
+    variable.  The key census and the validation report are computed on
+    first read and kept with the value.
     """
 
     workflow: Workflow
     network: Qcn
     r_map: Mapping[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def census(self) -> dict[str, list[Path]]:
+        """The tree's :func:`key_census`, taken on first read; do not mutate."""
+        return key_census(self.workflow)
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """What :func:`validate` finds, computed on first read."""
+        return validate(self)
 
 
 def embed(w: Workflow) -> ExtendedWorkflow:
@@ -106,8 +118,7 @@ def resolve_key(w: Workflow, key: str) -> Path:
 
 def variable_paths(ew: ExtendedWorkflow) -> dict[str, Path]:
     """Network variable -> node path, resolved against the current tree."""
-    census = key_census(ew.workflow)
-    return {var: lookup_key(census, key) for key, var in ew.r_map.items()}
+    return {var: lookup_key(ew.census, key) for key, var in ew.r_map.items()}
 
 
 def _loop_context(w: Workflow, path: Path) -> tuple[Path, ...]:
@@ -148,11 +159,7 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
     Constraints may relate a loop node to anything alongside it, but never
     a node inside a loop body to one outside that body.
     """
-    return _validate(ew, key_census(ew.workflow))
-
-
-def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> ValidationReport:
-    """:func:`validate` with the tree's :func:`key_census` already built."""
+    census = ew.census
     # a key with several paths may be a label used twice (unlabeled atoms of
     # its name are filed under it too); lexicographic path order is preorder
     repeats = []
@@ -211,13 +218,9 @@ def _validate(ew: ExtendedWorkflow, census: Mapping[str, list[Path]]) -> Validat
     return ValidationReport(tuple(violations))
 
 
-def _require_valid(ew: ExtendedWorkflow) -> dict[str, list[Path]]:
-    """The tree's :func:`key_census`, once the extended workflow is valid."""
-    census = key_census(ew.workflow)
-    report = _validate(ew, census)
-    if not report.ok:
-        raise InvalidExtendedWorkflowError(report)
-    return census
+def _require_valid(ew: ExtendedWorkflow) -> None:
+    if not ew.report.ok:
+        raise InvalidExtendedWorkflowError(ew.report)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +248,9 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
     a variable (and a minted label if they have none).  The result is
     normalized, which flattens the freshly created conjunctions.
     """
+    _require_valid(ew)
     # the transform keeps every path and every key, so the census still holds
-    census = _require_valid(ew)
+    census = ew.census
     pairs: list[tuple[Path, Path]] = []
     names: set[str] = set()
 
@@ -273,17 +277,22 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
     taken = set(ew.r_map) | set(ew.r_map.values()) | set(census) | names
     fresh = (f"n{i}" for i in itertools.count(1) if f"n{i}" not in taken)
     minted: dict[Path, str] = {}
+    # once labeled, an atom no longer answers to its name (the census is left as it is)
+    minted_atoms: dict[str, int] = {}
     r_map = dict(ew.r_map)
     in_use = set(r_map.values()) | set(ew.network.variables)
+
+    def answering(key: str) -> int:
+        return len(census.get(key, ())) - minted_atoms.get(key, 0)
 
     def var_for(path: Path) -> str:
         node = node_at(tree, path)
         key = minted.get(path, node.label)
-        if key is None and isinstance(node, Atomic) and census[node.name] == [path]:
+        if key is None and isinstance(node, Atomic) and answering(node.name) == 1:
             key = node.name
         elif key is None:
             if isinstance(node, Atomic):
-                census[node.name].remove(path)  # once labeled, it no longer answers to its name
+                minted_atoms[node.name] = minted_atoms.get(node.name, 0) + 1
             key = minted[path] = next(fresh)
         if key not in r_map:
             r_map[key] = _uniquify(key, in_use)
@@ -293,8 +302,9 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
     var_pairs = [(var_for(a), var_for(b)) for a, b in pairs]
     # a label that now keys a variable must not also match atoms of its name
     for key in r_map:
-        if len(census.get(key, ())) > 1:
-            minted.update((p, next(fresh)) for p in census[key] if node_at(tree, p).label is None)
+        if answering(key) > 1:
+            unlabeled = [p for p in census[key] if node_at(tree, p).label is None]
+            minted.update((p, next(fresh)) for p in unlabeled if p not in minted)
     network = ew.network.with_variable(*(var for pair in var_pairs for var in pair))
     for var_a, var_b in var_pairs:
         network = network.set_constraint(var_a, var_b, SEQUENCE_RELATIONS)
@@ -312,8 +322,6 @@ def check_strong_satisfiable(ew: ExtendedWorkflow) -> bool:
     other way round; deciding it is a network consistency test, hence
     NP-complete in the number of constrained variables.
     """
-    from .qcn import is_consistent
-
     return is_consistent(sequence_free(ew).network)
 
 

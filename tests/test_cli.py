@@ -292,3 +292,17 @@ class TestImport:
             [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestReadme:
+    def test_library_snippet_runs(self, monkeypatch):
+        # the snippet opens a corpus file by its path from the repository root
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            library = handle.read().split("\n## Library\n", 1)[1]
+        snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(root)
+        namespace: dict = {}
+        exec(snippet, namespace)
+        assert namespace["check_strong_satisfiable"](namespace["ew"]) is True
+        assert namespace["model"] is not None

@@ -381,6 +381,11 @@ class TestDotExport:
         dashed = [line for line in dot.splitlines() if "style=dashed" in line]
         assert len(dashed) == 3
 
+    def test_self_constraint_renders_as_dashed_self_edge(self):
+        dot = export_dot(parse("workflow w = a -> b constraints { a {b} a; }").extended, "w")
+        assert dot.splitlines()[-2] == '    a1 -> a1 [style=dashed, label="{}", constraint=false];'
+        check_dot_grammar(dot)
+
     def test_output_passes_dot_grammar(self):
         for name in ("fig2b.twf", "recette.twf", "counterexample.twf", "seqchain.twf"):
             text = corpus_path(name).read_text(encoding="utf-8")

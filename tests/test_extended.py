@@ -1,6 +1,7 @@
 """Extended workflows: validation, the sequence-free form, strong and
 bounded satisfiability, and the sufficient subsumption condition."""
 
+import copy
 from typing import Mapping
 
 import pytest
@@ -394,6 +395,30 @@ class TestMintedLabels:
             "    y {b, m} b;\n"
             "}\n"
         )
+
+    def test_atom_minted_as_an_anchor_is_not_minted_again(self):
+        # the atom y before c is minted n1 as an anchor; once the label y keys
+        # a variable, only the other atom y is minted a label
+        assert self.seqfree("workflow m = and{ y: a -> b ; y -> c ; y }\n") == (
+            "workflow m = and{ y: a ; b ; c ; n1: y ; n2: y }\n"
+            "constraints {\n"
+            "    y {b, m} b;\n"
+            "    n1 {b, m} c;\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["workflow m = and{ y: a -> b ; y }\n", "workflow m = a -> a -> b\n"]
+    )
+    def test_census_is_read_not_spent(self, text):
+        # minting labels must leave the value's census as parse took it
+        ew = parse_extended(text)
+        before = copy.deepcopy(ew.census)
+        first = format_document(sequence_free(ew), "m")
+        assert format_document(sequence_free(ew), "m") == first
+        assert ew.census == before
+        fresh = ExtendedWorkflow(ew.workflow, ew.network, ew.r_map)
+        assert format_document(sequence_free(fresh), "m") == first
 
 
 class TestStrongSatisfiability:

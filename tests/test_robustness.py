@@ -9,6 +9,7 @@ import contextlib
 import io
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -264,3 +265,46 @@ class TestLinearWork:
         walk_steps[0] = 0
         assert export_dot(doc.extended).count("style=dashed") == self.N - 1
         assert walk_steps[0] <= 10 * (self.N + 1)
+
+    def test_parsed_value_is_not_walked_again(self, walk_steps):
+        # parse took the census; reading the references costs no walk
+        doc = parse(constrained_group_text(self.N))
+        walk_steps[0] = 0
+        assert len(extended.variable_paths(doc.extended)) == self.N
+        assert walk_steps[0] == 0
+        export_dot(doc.extended)
+        assert walk_steps[0] == 0
+
+    def test_sequence_free_reuses_the_parsed_census(self, walk_steps):
+        ew = parse(chain_text(self.N)).extended
+        walk_steps[0] = 0
+        extended.sequence_free(ew)
+        parsed = walk_steps[0]
+        walk_steps[0] = 0
+        extended.sequence_free(extended.ExtendedWorkflow(ew.workflow, ew.network, ew.r_map))
+        assert walk_steps[0] >= parsed + self.N
+
+    @pytest.mark.parametrize("command", ["check", "dot", "seqfree", "strong-check", "scenario"])
+    def test_one_census_and_validation_per_parsed_file(self, tmp_path, monkeypatch, command):
+        calls = {"key_census": 0, "validate": 0}
+
+        def counted(name, original):
+            def call(arg):
+                calls[name] += 1
+                return original(arg)
+
+            return call
+
+        for name in calls:
+            original = getattr(extended, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "twf" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        path = write(
+            tmp_path,
+            "workflow w = x: and{ a ; b } -> l: loop{ c -> d }\n"
+            "constraints { a {b, m} b; x {m} l; c {b} d; }\n",
+        )
+        code, _, err = run(path, command)
+        assert code in (0, 1), err
+        assert calls == {"key_census": 1, "validate": 1}
