@@ -310,11 +310,8 @@ def compose_masks(mask1: int, mask2: int) -> int:
     """Union of the pairwise compositions of two relation masks."""
     low, high = mask2 & 127, mask2 >> 7
     bits = 0
-    while mask1:
-        lowest = mask1 & -mask1
-        low_table, high_table = _COMPOSE_HALVES[lowest.bit_length() - 1]
+    for low_table, high_table in compose_halves(mask1):
         bits |= low_table[low] | high_table[high]
-        mask1 ^= lowest
     return bits
 
 

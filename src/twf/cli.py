@@ -407,6 +407,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     except BrokenPipeError:
         return 0
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -143,7 +143,9 @@ class Qcn:
 # Path consistency
 
 
-def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
+def _pc_bits(
+    m: list[list[int]], queue: deque[tuple[int, int]], trail: list | None = None
+) -> bool:
     """Refine the mask matrix in place, revising every triangle through the
     queued edges (i < j) and through each edge it narrows, to a fixpoint.
 
@@ -151,7 +153,7 @@ def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
     each pass with one left operand whose tables are picked once.  A
     universal entry cannot narrow anything, so none is composed or queued.
 
-    Returns False as soon as an entry becomes empty.
+    Logs each narrowing on ``trail``, if given; returns False once an entry is empty.
     """
     n = len(m)
     queued = set(queue)
@@ -171,6 +173,8 @@ def _pc_bits(m: list[list[int]], queue: deque[tuple[int, int]]) -> bool:
                     bits |= low_table[low] | high_table[high]
                 refined = row_a[k] & bits
                 if refined != row_a[k]:
+                    if trail is not None:
+                        trail.append((a, k, row_a[k]))
                     if not refined:
                         row_a[k] = m[k][a] = 0
                         return False
@@ -211,49 +215,47 @@ def scenarios(n: Qcn) -> Iterator[tuple[Qcn, Schedule]]:
     """All realizable atomic scenarios of the network, each with the
     schedule that realizes it.
 
-    Backtracking over basic-relation choices edge by edge, path consistency
-    after every assignment, candidate scenarios re-verified by schedule
-    construction before being yielded.  The empty network has exactly one
-    (empty) scenario.  A candidate without a schedule would be a solver
-    defect and raises UnrealizableScenarioError.
+    Backtracking over basic-relation choices edge by edge on one matrix, path
+    consistency after every assignment, undone by popping a trail of its
+    narrowings; candidates are re-verified by schedule construction.  The
+    empty network has exactly one (empty) scenario.  A candidate without a
+    schedule would be a solver defect and raises UnrealizableScenarioError.
     """
     m, ok = _closure(n)
     if not ok:
         return
-    count = len(m)
-
-    def refinements(matrix: list[list[int]], i: int, j: int) -> Iterator[list[list[int]]]:
-        choices = matrix[i][j]
-        while choices:
-            rel = choices & -choices
-            choices ^= rel
-            trial = [row[:] for row in matrix]
-            trial[i][j] = rel
-            trial[j][i] = converse_mask(rel)
-            # the matrix was closed before this choice, so only triangles
-            # through (i, j) can need revising
-            if _pc_bits(trial, deque([(i, j)])):
-                yield trial
-
-    # depth-first over an explicit stack, so deep searches need no recursion
-    stack = [iter([m])]
-    while stack:
-        matrix = next(stack[-1], None)
-        if matrix is None:
-            stack.pop()
-            continue
+    # a frame (i, j, untried relations, trail length) per open edge, and no
+    # copies: memory stays one matrix plus the trail, however deep the search
+    trail, frames = [], []
+    while True:
         best = None
         best_size = 14
-        for i in range(count):
-            for j in range(i + 1, count):
-                size = matrix[i][j].bit_count()
+        for i, row in enumerate(m):
+            for j in range(i + 1, len(row)):
+                size = row[j].bit_count()
                 if 1 < size < best_size:
-                    best, best_size = (i, j), size
-        if best is not None:
-            stack.append(refinements(matrix, *best))
-            continue
-        scenario = Qcn(n.variables, tuple(map(tuple, matrix)))
-        yield scenario, realize_scenario(scenario)
+                    best, best_size = (i, j, row[j]), size
+        if best is None:
+            scenario = Qcn(n.variables, tuple(map(tuple, m)))
+            yield scenario, realize_scenario(scenario)
+        else:
+            frames.append((*best, len(trail)))
+        while frames:
+            i, j, choices, mark = frames.pop()
+            while len(trail) > mark:
+                a, k, old = trail.pop()
+                m[a][k], m[k][a] = old, converse_mask(old)
+            if choices:
+                rel = choices & -choices
+                frames.append((i, j, choices ^ rel, mark))
+                trail.append((i, j, m[i][j]))
+                m[i][j], m[j][i] = rel, converse_mask(rel)
+                # the matrix was closed before this choice, so only triangles
+                # through (i, j) can need revising
+                if _pc_bits(m, deque([(i, j)]), trail):
+                    break
+        else:
+            return
 
 
 def is_consistent(n: Qcn) -> bool:

@@ -181,6 +181,34 @@ def rand_regular_extended(
     return ew
 
 
+def tree_doc(seed: int, budget: int) -> str:
+    """A `.twf` document of nested sequences, `and{}`, `or{}` and `loop{}`
+    groups over distinct atoms t1, t2, ..., and no written constraint.
+
+    Each group splits its budget evenly among 2-4 parts (a loop passes on
+    one less), and an atom ends a branch once the budget is spent or the
+    depth passes 8.  Its sequence-free network is wide and sparse:
+    ``tree_doc(1, 150)`` has 144 atoms and 62 variables, ``tree_doc(3, 420)``
+    374 atoms and 232 variables.
+    """
+    rng = random.Random(seed)
+    names = itertools.count(1)
+
+    def expr(budget: int, depth: int) -> str:
+        if budget <= 1 or depth > 8:
+            return f"t{next(names)}"
+        kind = rng.choices(["seq", "and", "or", "loop"], weights=[2, 1, 1, 1])[0]
+        if kind == "loop":
+            return f"loop{{ {expr(budget - 1, depth + 1)} }}"
+        k = rng.randint(2, 4)
+        parts = [expr(budget // k, depth + 1) for _ in range(k)]
+        if kind == "seq":
+            return f"({' -> '.join(parts)})"
+        return f"{kind}{{ {(' ; ' if kind == 'and' else ' | ').join(parts)} }}"
+
+    return f"workflow tree = {expr(budget, 0)}\n"
+
+
 # ---------------------------------------------------------------------------
 # Bounded execution-inclusion oracle (ground truth for subsumption claims)
 

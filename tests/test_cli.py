@@ -128,6 +128,15 @@ class TestStrongCheck:
         assert code == 1
         assert json.loads(out)["verdict"] is False
 
+    def test_running_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhaust(network):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "is_consistent", exhaust)
+        code, out, err = run(capsys, "strong-check", RECETTE)
+        assert_error_exit(code, err)
+        assert err == "error: out of memory\n"
+
 
 class TestScenario:
     def test_recipe_scenario_and_schedule(self, capsys):

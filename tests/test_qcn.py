@@ -3,11 +3,15 @@ realization and entailment."""
 
 import itertools
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
+from conftest import tree_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twf.qcn
 from twf.allen import (
     EMPTY,
     RELATIONS,
@@ -16,14 +20,19 @@ from twf.allen import (
     RelationSet,
     compose_masks,
     compose_sets,
+    converse_mask,
     interval,
     relation_between,
 )
+from twf.dsl import parse
+from twf.extended import sequence_free
 from twf.qcn import (
     Qcn,
     UnknownVariableError,
     UnrealizableScenarioError,
     VariableSetError,
+    _closure,
+    _pc_bits,
     check_schedule,
     entails,
     is_consistent,
@@ -41,13 +50,13 @@ B = RelationSet.parse("b")
 BM = RelationSet.parse("b m")
 
 
-def random_network(rng, size, tightness=0.7, max_rels=4):
+def random_network(rng, size, tightness=0.7, max_rels=4, min_rels=1):
     names = tuple(f"v{i}" for i in range(size))
     network = Qcn.universal(names)
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < tightness:
-                rels = RelationSet.of(*rng.sample(RELATIONS, rng.randint(1, max_rels)))
+                rels = RelationSet.of(*rng.sample(RELATIONS, rng.randint(min_rels, max_rels)))
                 network = network.set_constraint(names[i], names[j], rels)
     return network
 
@@ -221,6 +230,15 @@ class TestConsistency:
         with pytest.raises(UnrealizableScenarioError):
             next(scenarios(Qcn.universal(("i", "j")).set_constraint("i", "j", B)))
 
+    def test_search_memory_stays_near_one_matrix(self):
+        # the search opens a level for each of the hundreds of pairs it
+        # branches on here, and its memory must not grow with that depth
+        net = sequence_free(parse(tree_doc(1, 150)).extended).network
+        assert len(net.variables) >= 60
+        closure_peak = traced_peak(lambda: path_consistency(net))
+        search_peak = traced_peak(lambda: next(scenarios(net)))
+        assert search_peak <= 10 * closure_peak
+
     def test_scenarios_are_atomic_and_coherent(self, rng):
         n = random_network(rng, 4, tightness=0.8)
         for s, _ in scenarios(n):
@@ -228,6 +246,85 @@ class TestConsistency:
             for vi in n.variables:
                 for vj in n.variables:
                     assert s.get(vi, vj) == s.get(vj, vi).inverse()
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the scenario search as it was before it kept an undo trail,
+# copying the whole matrix for every trial and keeping one per open level
+
+
+def reference_scenarios(n):
+    m, ok = _closure(n)
+    if not ok:
+        return
+    count = len(m)
+
+    def refinements(matrix, i, j):
+        choices = matrix[i][j]
+        while choices:
+            rel = choices & -choices
+            choices ^= rel
+            trial = [row[:] for row in matrix]
+            trial[i][j] = rel
+            trial[j][i] = converse_mask(rel)
+            if _pc_bits(trial, deque([(i, j)])):
+                yield trial
+
+    stack = [iter([m])]
+    while stack:
+        matrix = next(stack[-1], None)
+        if matrix is None:
+            stack.pop()
+            continue
+        best = None
+        best_size = 14
+        for i in range(count):
+            for j in range(i + 1, count):
+                size = matrix[i][j].bit_count()
+                if 1 < size < best_size:
+                    best, best_size = (i, j), size
+        if best is not None:
+            stack.append(refinements(matrix, *best))
+            continue
+        scenario = Qcn(n.variables, tuple(map(tuple, matrix)))
+        yield scenario, realize_scenario(scenario)
+
+
+def test_scenarios_match_the_reference_search(monkeypatch):
+    """The first six (scenario, schedule) pairs, in order, on small random
+    networks and on dense ones, where most searches hit dead ends."""
+    failed_choices = 0
+
+    def counting(m, queue, trail=None):
+        nonlocal failed_choices
+        ok = _pc_bits(m, queue, trail)
+        failed_choices += trail is not None and not ok
+        return ok
+
+    monkeypatch.setattr(twf.qcn, "_pc_bits", counting)
+    rng = random.Random(20261020)
+    small = [random_network(rng, rng.randint(1, 7), rng.random(), 12) for _ in range(2000)]
+    dense = [
+        random_network(rng, rng.randint(9, 10), rng.uniform(0.9, 1.0), 6, 6) for _ in range(300)
+    ]
+    backtracked = 0
+    for net in small + dense:
+        failed_choices = 0
+        got = list(itertools.islice(scenarios(net), 6))
+        assert got == list(itertools.islice(reference_scenarios(net), 6))
+        backtracked += failed_choices > 0
+    # undo after a failed choice is exercised, not only undo after a leaf
+    assert backtracked >= 100
 
 
 class TestRealization:
