@@ -253,14 +253,12 @@ def _cmd_table(args) -> int:
 
 def _random_network(rng: random.Random, size: int, tightness: float = 0.6, widest: int = 4) -> Qcn:
     names = tuple(f"v{i}" for i in range(size))
-    network = Qcn.universal(names)
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < tightness:
-                count = rng.randint(1, widest)
-                rels = RelationSet.of(*rng.sample(RELATIONS, count))
-                network = network.set_constraint(names[i], names[j], rels)
-    return network
+    return Qcn.universal(names).set_constraints(
+        (names[i], names[j], RelationSet.of(*rng.sample(RELATIONS, rng.randint(1, widest))))
+        for i in range(size)
+        for j in range(i + 1, size)
+        if rng.random() < tightness
+    )
 
 
 def _cmd_oracle_verify(args) -> int:

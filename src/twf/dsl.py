@@ -298,9 +298,9 @@ def parse(text: str) -> ParsedDocument:
     # every key is a variable, in first-use order; the value is dropped
     # unless they all resolve
     keys = dict.fromkeys(key for left, _, right, _ in raw_constraints for key in (left, right))
-    network = Qcn.universal(tuple(keys))
-    for left, bits, right, _ in raw_constraints:
-        network = network.set_constraint(left, right, RelationSet(bits))
+    network = Qcn.universal(tuple(keys)).set_constraints(
+        (left, right, RelationSet(bits)) for left, bits, right, _ in raw_constraints
+    )
     extended = ExtendedWorkflow(tree, network, {key: key for key in keys})
 
     unresolved: dict[str, str] = {}

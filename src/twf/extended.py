@@ -306,8 +306,7 @@ def sequence_free(ew: ExtendedWorkflow) -> ExtendedWorkflow:
             unlabeled = [p for p in census[key] if node_at(tree, p).label is None]
             minted.update((p, next(fresh)) for p in unlabeled if p not in minted)
     network = ew.network.with_variable(*(var for pair in var_pairs for var in pair))
-    for var_a, var_b in var_pairs:
-        network = network.set_constraint(var_a, var_b, SEQUENCE_RELATIONS)
+    network = network.set_constraints((a, b, SEQUENCE_RELATIONS) for a, b in var_pairs)
     return ExtendedWorkflow(normalize(relabel(tree, minted)), network, r_map)
 
 
@@ -340,15 +339,14 @@ def refutes_plan(atom_count: int, le_pairs: list[tuple[int, int]], hulls: list[H
     for obligation in hulls:
         for starts in obligation[0], obligation[2]:
             sides.setdefault(starts, f"h{starts}")
-    network = Qcn.universal(tuple(sides.values()))
-    for x, y in le_pairs:
-        network = network.set_constraint(names[x >> 1], names[y >> 1], SEQUENCE_RELATIONS)
+    constraints = [(names[x >> 1], names[y >> 1], SEQUENCE_RELATIONS) for x, y in le_pairs]
     for starts, hull_name in list(sides.items())[atom_count:]:
         for i in range(atom_count):
             if starts >> 2 * i & 1:
-                network = network.set_constraint(names[i], hull_name, INSIDE_HULL)
+                constraints.append((names[i], hull_name, INSIDE_HULL))
     for starts_i, _, starts_j, _, allowed in hulls:
-        network = network.set_constraint(sides[starts_i], sides[starts_j], RelationSet(allowed))
+        constraints.append((sides[starts_i], sides[starts_j], RelationSet(allowed)))
+    network = Qcn.universal(tuple(sides.values())).set_constraints(constraints)
     return not path_consistency(network)[1]
 
 

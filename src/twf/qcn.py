@@ -1,13 +1,14 @@
 """Qualitative constraint networks over interval variables.
 
-A network holds a square matrix of relation masks (ints, as defined in
-:mod:`twf.allen`) kept converse-coherent at all times; its methods take and
-return :class:`RelationSet` values, and only the solver reads the masks.
-Path consistency refines the matrix; consistency and scenario search run a
-backtracking solver pruned by path consistency, and every scenario found
-is realized as a concrete rational schedule before being reported.
-Entailment is decided by refutation: one consistency check per entry of
-the entailed network.
+A network holds only its constraining entries, relation masks (ints, as
+defined in :mod:`twf.allen`) keyed by pairs of variable positions; its
+methods take and return :class:`RelationSet` values.  Only the solver
+reads the masks, in an n×n matrix it builds from them: path consistency
+refines the matrix; consistency and scenario search run a backtracking
+solver pruned by path consistency, and every scenario found is realized
+as a concrete rational schedule before being reported.  Entailment is
+decided by refutation: one consistency check per entry of the entailed
+network.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .allen import (
     ENDPOINT_RANKS,
@@ -50,93 +52,99 @@ _ANY = UNIVERSAL.bits
 _RANKS = [ENDPOINT_RANKS[r] for r in RELATIONS]  # by bit position
 
 
-def _replaced(row: tuple[int, ...], k: int, mask: int) -> tuple[int, ...]:
-    return row[:k] + (mask,) + row[k + 1:]
-
-
 @dataclass(frozen=True)
 class Qcn:
-    """A qualitative constraint network (variables, constraint matrix).
+    """A qualitative constraint network (variables, constraint edges).
 
-    ``constraints[i][j]`` is the relation mask between variables i and j;
-    callers read it as a RelationSet through :meth:`get` or
-    :meth:`nontrivial_pairs`.  Diagonal entries are {eq}; off-diagonal
-    entries default to the universal set; the matrix always satisfies
-    C[j][i] = inverse(C[i][j]).
+    ``edges[i, j]``, for i <= j, is the relation mask between variables i
+    and j, and its converse relates j to i; callers read it as a
+    RelationSet through :meth:`get` or :meth:`nontrivial_pairs`.  Only
+    entries that differ from the default are kept, in row-major order: a
+    missing diagonal entry is {eq}, a missing off-diagonal one universal.
     """
 
     variables: tuple[str, ...]
-    constraints: tuple[tuple[int, ...], ...]
+    edges: dict[tuple[int, int], int]
 
     @classmethod
     def universal(cls, variables: tuple[str, ...] | list[str] = ()) -> "Qcn":
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        return cls((), ()).with_variable(*names)
+        return cls(names, {})
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.variables)}
 
     def index(self, variable: str) -> int:
         try:
-            return self.variables.index(variable)
-        except ValueError:
+            return self._positions[variable]
+        except KeyError:
             raise UnknownVariableError(variable) from None
 
     def get(self, vi: str, vj: str) -> RelationSet:
-        return RelationSet(self.constraints[self.index(vi)][self.index(vj)])
+        i, j = self.index(vi), self.index(vj)
+        mask = self.edges.get((min(i, j), max(i, j)), _EQ if i == j else _ANY)
+        return RelationSet(mask if i <= j else converse_mask(mask))
 
     def with_variable(self, *names: str) -> "Qcn":
         """The network plus an unconstrained variable for each name not yet
-        present, appended in first-use order with one copy of the matrix."""
-        present = set(self.variables)
-        new = tuple(name for name in dict.fromkeys(names) if name not in present)
-        if not new:
-            return self
-        n, k = len(self.variables), len(new)
-        rows = tuple(row + (_ANY,) * k for row in self.constraints)
-        rows += tuple((_ANY,) * (n + i) + (_EQ,) + (_ANY,) * (k - 1 - i) for i in range(k))
-        return Qcn(self.variables + new, rows)
+        present, appended in first-use order."""
+        new = tuple(name for name in dict.fromkeys(names) if name not in self._positions)
+        return Qcn(self.variables + new, self.edges) if new else self
 
-    def set_constraint(self, vi: str, vj: str, rels: RelationSet) -> "Qcn":
-        """Intersect ``rels`` into C[vi][vj] (and its converse into C[vj][vi]).
+    def set_constraints(self, constraints: Iterable[tuple[str, str, RelationSet]]) -> "Qcn":
+        """Intersect each ``(vi, vj, rels)`` into C[vi][vj] (and its converse
+        into C[vj][vi]), all in one new network.
 
         A self-constraint intersects the {eq} diagonal; anything that rules
         out eq there leaves an empty entry, i.e. an inconsistent network.
         """
-        i, j = self.index(vi), self.index(vj)
-        rows = list(self.constraints)
-        mask = rows[i][j] & rels.bits
-        rows[i] = _replaced(rows[i], j, mask)
-        if i != j:
-            rows[j] = _replaced(rows[j], i, converse_mask(mask))
-        return Qcn(self.variables, tuple(rows))
+        edges = dict(self.edges)
+        for vi, vj, rels in constraints:
+            i, j, mask = self.index(vi), self.index(vj), rels.bits
+            if i > j:
+                i, j, mask = j, i, converse_mask(mask)
+            edges[i, j] = edges.get((i, j), _EQ if i == j else _ANY) & mask
+        return _network(self.variables, sorted(edges.items()))
+
+    def set_constraint(self, vi: str, vj: str, rels: RelationSet) -> "Qcn":
+        """:meth:`set_constraints` with one constraint."""
+        return self.set_constraints(((vi, vj, rels),))
 
     def nontrivial_pairs(self) -> Iterator[tuple[str, str, RelationSet]]:
         """Upper-triangle entries that actually constrain something."""
-        n = len(self.variables)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mask = self.constraints[i][j]
-                if mask != _ANY:
-                    yield self.variables[i], self.variables[j], RelationSet(mask)
+        for (i, j), mask in self.edges.items():
+            if i != j:
+                yield self.variables[i], self.variables[j], RelationSet(mask)
 
     def degenerate_diagonal(self) -> Iterator[tuple[str, RelationSet]]:
         """Variables whose diagonal entry was constrained away from {eq}."""
-        for i, name in enumerate(self.variables):
-            if self.constraints[i][i] != _EQ:
-                yield name, RelationSet(self.constraints[i][i])
+        for (i, j), mask in self.edges.items():
+            if i == j:
+                yield self.variables[i], RelationSet(mask)
 
     @property
     def is_scenario(self) -> bool:
-        n = len(self.variables)
-        return all(
-            self.constraints[i][j].bit_count() == 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        count = len(self.variables)
+        pairs = [mask for (i, j), mask in self.edges.items() if i != j]
+        return len(pairs) == count * (count - 1) // 2 and all(m.bit_count() == 1 for m in pairs)
 
     def __str__(self) -> str:
         parts = [f"{vi} {{{rels.tokens()}}} {vj}" for vi, vj, rels in self.nontrivial_pairs()]
         return f"Qcn({', '.join(self.variables)}; {'; '.join(parts)})"
+
+
+def _network(variables: tuple[str, ...], entries: Iterable) -> Qcn:
+    """The network of ``entries`` ((i, j), mask), i <= j, in row-major order, minus defaults."""
+    return Qcn(variables, {ij: m for ij, m in entries if m != (_EQ if ij[0] == ij[1] else _ANY)})
+
+
+def _snapshot(variables: tuple[str, ...], m: list[list[int]]) -> Qcn:
+    """The network that a mask matrix of the solver holds."""
+    entries = (((i, j), mask) for i, row in enumerate(m) for j, mask in enumerate(row[i:], i))
+    return _network(variables, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +198,14 @@ def _pc_bits(
 def _closure(n: Qcn) -> tuple[list[list[int]], bool]:
     """The network's mask matrix refined from every non-universal edge, and
     whether no entry is empty."""
-    m = [list(row) for row in n.constraints]
-    count = len(m)
-    edges = deque((i, j) for i in range(count) for j in range(i + 1, count) if m[i][j] != _ANY)
-    return m, _pc_bits(m, edges) and all(map(all, m))
+    count = len(n.variables)
+    m = [[_ANY] * count for _ in range(count)]
+    for i, row in enumerate(m):
+        row[i] = _EQ
+    for (i, j), mask in n.edges.items():
+        m[i][j], m[j][i] = mask, converse_mask(mask)
+    queue = deque(ij for ij in n.edges if ij[0] != ij[1])
+    return m, _pc_bits(m, queue) and all(n.edges.values())
 
 
 def path_consistency(n: Qcn) -> tuple[Qcn, bool]:
@@ -204,7 +216,7 @@ def path_consistency(n: Qcn) -> tuple[Qcn, bool]:
     relations that cannot take part in any solution.
     """
     m, ok = _closure(n)
-    return Qcn(n.variables, tuple(map(tuple, m))), ok
+    return _snapshot(n.variables, m), ok
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +248,7 @@ def scenarios(n: Qcn) -> Iterator[tuple[Qcn, Schedule]]:
                 if 1 < size < best_size:
                     best, best_size = (i, j, row[j]), size
         if best is None:
-            scenario = Qcn(n.variables, tuple(map(tuple, m)))
+            scenario = _snapshot(n.variables, m)
             yield scenario, realize_scenario(scenario)
         else:
             frames.append((*best, len(trail)))
@@ -282,27 +294,24 @@ def realize_scenario(s: Qcn) -> Schedule:
     if not s.is_scenario:
         raise ValueError("network is not an atomic scenario")
     count = len(s.variables)
+    pairs = [(i, j, mask.bit_length() - 1) for (i, j), mask in s.edges.items() if i != j]
     below = [0, 1] * count  # an end lies above its own start
-    for i in range(count):
-        row = s.constraints[i]
-        for j in range(i + 1, count):
-            lo1, hi1, lo2, hi2 = _RANKS[row[j].bit_length() - 1]
-            below[2 * i] += (lo2 < lo1) + (hi2 < lo1)
-            below[2 * i + 1] += (lo2 < hi1) + (hi2 < hi1)
-            below[2 * j] += (lo1 < lo2) + (hi1 < lo2)
-            below[2 * j + 1] += (lo1 < hi2) + (hi1 < hi2)
+    for i, j, r in pairs:
+        lo1, hi1, lo2, hi2 = _RANKS[r]
+        below[2 * i] += (lo2 < lo1) + (hi2 < lo1)
+        below[2 * i + 1] += (lo2 < hi1) + (hi2 < hi1)
+        below[2 * j] += (lo1 < lo2) + (hi1 < lo2)
+        below[2 * j + 1] += (lo1 < hi2) + (hi1 < hi2)
 
     layer = {b: k for k, b in enumerate(sorted(set(below)))}
     at = [layer[b] for b in below]
-    for i in range(count):
-        row = s.constraints[i]
-        for j in range(i + 1, count):
-            got = endpoint_relation(at[2 * i], at[2 * i + 1], at[2 * j], at[2 * j + 1])
-            want = RELATIONS[row[j].bit_length() - 1]
-            if got is not want:
-                raise UnrealizableScenarioError(
-                    f"{s.variables[i]} {got.token} {s.variables[j]}, scenario wants {want.token}"
-                )
+    for i, j, r in pairs:
+        got = endpoint_relation(at[2 * i], at[2 * i + 1], at[2 * j], at[2 * j + 1])
+        want = RELATIONS[r]
+        if got is not want:
+            raise UnrealizableScenarioError(
+                f"{s.variables[i]} {got.token} {s.variables[j]}, scenario wants {want.token}"
+            )
     return {
         name: Interval(Fraction(at[2 * v]), Fraction(at[2 * v + 1]))
         for v, name in enumerate(s.variables)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,31 @@ def tree_doc(seed: int, budget: int) -> str:
         return f"{kind}{{ {(' ; ' if kind == 'and' else ' | ').join(parts)} }}"
 
     return f"workflow tree = {expr(budget, 0)}\n"
+
+
+def chain_doc(steps: int) -> str:
+    """A `.twf` document of one sequence of ``steps`` distinct atoms; its
+    sequence-free network has ``steps`` variables and ``steps - 1`` edges."""
+    return f"workflow chain = {' -> '.join(f's{i}' for i in range(steps))}\n"
+
+
+def wide_doc(atoms: int) -> str:
+    """An `and{}` of ``atoms`` distinct atoms with a {b, m} constraint from
+    each atom to the next."""
+    names = [f"a{i}" for i in range(atoms)]
+    lines = [f"workflow wide = and{{ {' ; '.join(names)} }}", "constraints {"]
+    lines += [f"    {a} {{b, m}} {b};" for a, b in zip(names, names[1:])]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

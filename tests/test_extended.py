@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_extended, rand_workflow
+from conftest import chain_doc, rand_extended, rand_workflow, traced_peak
 from twf.allen import RELATIONS, RelationSet
-from twf.dsl import format_document, parse_extended
+from twf.dsl import export_dot, format_document, parse, parse_extended
 from twf.extended import (
     ExtendedWorkflow,
     InvalidExtendedWorkflowError,
@@ -354,6 +354,15 @@ class TestSequenceFree:
             assert before == after
             checked += 1
         assert checked >= 50
+
+    def test_memory_stays_far_below_the_dense_matrix(self):
+        # 3 000 variables: an n×n matrix of their relations alone is 9 M
+        # entries (72 MB of pointers), so a network that keeps only its
+        # 2 999 edges stays under the bound with room to spare
+        ew = parse(chain_doc(3000)).extended
+        out = []
+        assert traced_peak(lambda: out.append(format_document(sequence_free(ew)))) < 25 * 2**20
+        assert traced_peak(lambda: export_dot(parse(out[0]).extended)) < 25 * 2**20
 
 
 class TestMintedLabels:

@@ -3,11 +3,10 @@ realization and entailment."""
 
 import itertools
 import random
-import tracemalloc
 from collections import deque
 
 import pytest
-from conftest import tree_doc
+from conftest import traced_peak, tree_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,14 +49,23 @@ B = RelationSet.parse("b")
 BM = RelationSet.parse("b m")
 
 
-def random_network(rng, size, tightness=0.7, max_rels=4, min_rels=1):
+def random_constraints(rng, size, tightness=0.7, max_rels=4, min_rels=1):
+    """Variable names and (vi, vj, rels) constraints on some pairs i < j."""
     names = tuple(f"v{i}" for i in range(size))
+    constraints = [
+        (names[i], names[j], RelationSet.of(*rng.sample(RELATIONS, rng.randint(min_rels, max_rels))))
+        for i in range(size)
+        for j in range(i + 1, size)
+        if rng.random() < tightness
+    ]
+    return names, constraints
+
+
+def random_network(rng, size, tightness=0.7, max_rels=4, min_rels=1):
+    names, constraints = random_constraints(rng, size, tightness, max_rels, min_rels)
     network = Qcn.universal(names)
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < tightness:
-                rels = RelationSet.of(*rng.sample(RELATIONS, rng.randint(min_rels, max_rels)))
-                network = network.set_constraint(names[i], names[j], rels)
+    for vi, vj, rels in constraints:
+        network = network.set_constraint(vi, vj, rels)
     return network
 
 
@@ -93,6 +101,58 @@ class TestConstruction:
         assert list(grown.nontrivial_pairs()) == [("i", "j", BM)]
         assert grown.get("k", "k") == RelationSet.parse("eq")
         assert not is_consistent(grown)
+
+
+EQ = RelationSet.parse("eq")
+
+
+def dense_reference(names, constraints):
+    """The n×n mask matrix of the constraints: {eq} on the diagonal and
+    universal off it, each constraint and its converse intersected in."""
+    index = {name: k for k, name in enumerate(names)}
+    m = [[UNIVERSAL.bits] * len(names) for _ in names]
+    for k in range(len(names)):
+        m[k][k] = EQ.bits
+    for vi, vj, rels in constraints:
+        i, j = index[vi], index[vj]
+        m[i][j] &= rels.bits
+        m[j][i] &= converse_mask(rels.bits)
+    return m
+
+
+def test_network_api_agrees_with_a_dense_reference():
+    """Random networks with self-constraints, universal labels, repeated and
+    reversed pairs, read back through every accessor and built both in one
+    call and one constraint at a time."""
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        names, constraints = random_constraints(rng, rng.randint(1, 7), rng.random(), 13, 0)
+        for _ in range(rng.randint(0, 4)):
+            vi, vj = rng.choice(names), rng.choice(names)
+            rels = RelationSet(rng.randrange(UNIVERSAL.bits + 1))
+            constraints.append((vi, vj, rng.choice([rels, rels | EQ, UNIVERSAL])))
+            constraints.append((vi, vi, rng.choice([rels, rels | EQ, UNIVERSAL])))
+        rng.shuffle(constraints)
+        chained = Qcn.universal(names)
+        for vi, vj, rels in constraints:
+            chained = chained.set_constraint(vi, vj, rels)
+        n = Qcn.universal(names).set_constraints(constraints)
+        assert n == chained
+
+        m = dense_reference(names, constraints)
+        for (i, vi), (j, vj) in itertools.product(enumerate(names), repeat=2):
+            assert n.get(vi, vj).bits == m[i][j]
+        assert list(n.nontrivial_pairs()) == [
+            (vi, vj, RelationSet(m[i][j]))
+            for (i, vi), (j, vj) in itertools.combinations(enumerate(names), 2)
+            if m[i][j] != UNIVERSAL.bits
+        ]
+        assert list(n.degenerate_diagonal()) == [
+            (v, RelationSet(m[i][i])) for i, v in enumerate(names) if m[i][i] != EQ.bits
+        ]
+        vi, vj = rng.choice(names), rng.choice(names)
+        assert n.set_constraint(vi, vj, UNIVERSAL) == n
+        assert n.set_constraint(vi, vi, RelationSet(rng.randrange(UNIVERSAL.bits + 1)) | EQ) == n
 
 
 class TestPathConsistency:
@@ -248,16 +308,6 @@ class TestConsistency:
                     assert s.get(vi, vj) == s.get(vj, vi).inverse()
 
 
-def traced_peak(fn) -> int:
-    """The peak bytes that tracemalloc sees while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # ---------------------------------------------------------------------------
 # Reference: the scenario search as it was before it kept an undo trail,
 # copying the whole matrix for every trial and keeping one per open level
@@ -296,7 +346,12 @@ def reference_scenarios(n):
         if best is not None:
             stack.append(refinements(matrix, *best))
             continue
-        scenario = Qcn(n.variables, tuple(map(tuple, matrix)))
+        names = n.variables
+        scenario = Qcn.universal(names).set_constraints(
+            (names[i], names[j], RelationSet(matrix[i][j]))
+            for i in range(count)
+            for j in range(i + 1, count)
+        )
         yield scenario, realize_scenario(scenario)
 
 
