@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
-from .allen import RELATIONS, Relation, RelationSet
+from .allen import RELATIONS, RelationSet
 from .extended import ExtendedWorkflow, KeyResolutionError, lookup_key, variable_paths
 from .qcn import Qcn
 from .workflow import (
@@ -373,7 +373,8 @@ def _format_expr(node: Workflow) -> str:
 
 def format_document(ew: ExtendedWorkflow, name: str = "main") -> str:
     """Canonical source text: the normalized workflow, then the constraints
-    in the order of the network's variables.
+    in the order of the network's variables.  A self-constraint prints as
+    ``v {} v;`` at its row-major place.
 
     Parsing the output yields the same extended workflow back (up to
     normalization), which the round-trip tests rely on.
@@ -381,18 +382,12 @@ def format_document(ew: ExtendedWorkflow, name: str = "main") -> str:
     tree = normalize(ew.workflow)
     lines = [f"workflow {name} = {_format_expr(tree)}"]
     key_of = {var: key for key, var in ew.r_map.items()}
-    entries = []
-    for vi, vj, rels in ew.network.nontrivial_pairs():
-        entries.append((key_of[vi], rels, key_of[vj]))
-    for name_, _ in ew.network.degenerate_diagonal():
-        # a constrained diagonal is always empty; any eq-free set restates it
-        entries.append((key_of[name_], RelationSet.of(Relation.BEFORE), key_of[name_]))
+    entries = [
+        f"    {_quote(key_of[vi])} {{{', '.join(r.token for r in rels)}}} {_quote(key_of[vj])};"
+        for vi, vj, rels in ew.network.nontrivial_pairs()
+    ]
     if entries:
-        lines.append("constraints {")
-        for left, rels, right in entries:
-            tokens = ", ".join(r.token for r in rels)
-            lines.append(f"    {_quote(left)} {{{tokens}}} {_quote(right)};")
-        lines.append("}")
+        lines += ["constraints {", *entries, "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -409,8 +404,9 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
     Atoms become rounded boxes, conjunctions a fork/join bar pair,
     disjunctions a choice/merge diamond pair and loops an entry/exit
     diamond pair with a back edge.  Network constraints are rendered as
-    dashed labeled edges between the nodes standing for their ends; a
-    constrained diagonal is a dashed self-edge labeled ``{}``.
+    dashed labeled edges between the nodes standing for their ends, in the
+    network's row-major order; a self-constraint is a dashed self-edge
+    labeled ``{}`` in its place among them.
     """
     counter = iter(range(10 ** 9))
     nodes: list[str] = []
@@ -489,10 +485,6 @@ def export_dot(ew: ExtendedWorkflow, name: str = "workflow") -> str:
         b = anchor[key_paths[vj]]
         tokens = ", ".join(r.token for r in rels)
         edges.append(f'{a} -> {b} [style=dashed, label="{esc("{" + tokens + "}")}", constraint=false];')
-    for var, _ in ew.network.degenerate_diagonal():
-        # a constrained diagonal is always the empty set
-        a = anchor[key_paths[var]]
-        edges.append(f'{a} -> {a} [style=dashed, label="{{}}", constraint=false];')
 
     body = "\n".join(f"    {line}" for line in nodes + edges)
     return f'digraph "{esc(name)}" {{\n    rankdir=LR;\n{body}\n}}\n'

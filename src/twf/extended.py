@@ -192,9 +192,7 @@ def validate(ew: ExtendedWorkflow) -> ValidationReport:
 
     var_paths = {ew.r_map[key]: path for key, path in key_paths.items()}
     scopes = {var: _loop_context(ew.workflow, path) for var, path in var_paths.items()}
-    constrained = [(vi, vj) for vi, vj, _ in ew.network.nontrivial_pairs()]
-    constrained += [(name, name) for name, _ in ew.network.degenerate_diagonal()]
-    for vi, vj in constrained:
+    for vi, vj, _ in ew.network.nontrivial_pairs():
         missing = [v for v in (vi, vj) if v not in var_paths]
         if missing:
             for v in dict.fromkeys(missing):

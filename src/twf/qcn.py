@@ -1,14 +1,14 @@
 """Qualitative constraint networks over interval variables.
 
-A network holds only its constraining entries, relation masks (ints, as
-defined in :mod:`twf.allen`) keyed by pairs of variable positions; its
-methods take and return :class:`RelationSet` values.  Only the solver
-reads the masks, in an n×n matrix it builds from them: path consistency
-refines the matrix; consistency and scenario search run a backtracking
-solver pruned by path consistency, and every scenario found is realized
-as a concrete rational schedule before being reported.  Entailment is
-decided by refutation: one consistency check per entry of the entailed
-network.
+A network holds only its constraining entries, a self-constraint among
+them: relation masks (ints, as defined in :mod:`twf.allen`) keyed by pairs
+of variable positions.  Its methods take and return :class:`RelationSet`
+values.  Only the solver reads the masks, in an n×n matrix it builds from
+them: path consistency refines the matrix; consistency and scenario search
+run a backtracking solver pruned by path consistency, and every scenario
+found is realized as a concrete rational schedule before being reported.
+Entailment is decided by refutation: one consistency check per entry of
+the entailed network.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class Qcn:
     and j, and its converse relates j to i; callers read it as a
     RelationSet through :meth:`get` or :meth:`nontrivial_pairs`.  Only
     entries that differ from the default are kept, in row-major order: a
-    missing diagonal entry is {eq}, a missing off-diagonal one universal.
+    missing diagonal entry is {eq} and a missing off-diagonal one universal,
+    so a stored diagonal entry is the empty one a self-constraint left.
     """
 
     variables: tuple[str, ...]
@@ -114,22 +115,16 @@ class Qcn:
         return self.set_constraints(((vi, vj, rels),))
 
     def nontrivial_pairs(self) -> Iterator[tuple[str, str, RelationSet]]:
-        """Upper-triangle entries that actually constrain something."""
+        """Every entry that constrains something, a variable's own included, row-major."""
         for (i, j), mask in self.edges.items():
-            if i != j:
-                yield self.variables[i], self.variables[j], RelationSet(mask)
-
-    def degenerate_diagonal(self) -> Iterator[tuple[str, RelationSet]]:
-        """Variables whose diagonal entry was constrained away from {eq}."""
-        for (i, j), mask in self.edges.items():
-            if i == j:
-                yield self.variables[i], RelationSet(mask)
+            yield self.variables[i], self.variables[j], RelationSet(mask)
 
     @property
     def is_scenario(self) -> bool:
+        # one relation per pair of distinct variables: a stored diagonal entry is empty
         count = len(self.variables)
-        pairs = [mask for (i, j), mask in self.edges.items() if i != j]
-        return len(pairs) == count * (count - 1) // 2 and all(m.bit_count() == 1 for m in pairs)
+        masks = self.edges.values()
+        return len(masks) == count * (count - 1) // 2 and all(m.bit_count() == 1 for m in masks)
 
     def __str__(self) -> str:
         parts = [f"{vi} {{{rels.tokens()}}} {vj}" for vi, vj, rels in self.nontrivial_pairs()]
@@ -294,7 +289,7 @@ def realize_scenario(s: Qcn) -> Schedule:
     if not s.is_scenario:
         raise ValueError("network is not an atomic scenario")
     count = len(s.variables)
-    pairs = [(i, j, mask.bit_length() - 1) for (i, j), mask in s.edges.items() if i != j]
+    pairs = [(i, j, mask.bit_length() - 1) for (i, j), mask in s.edges.items()]
     below = [0, 1] * count  # an end lies above its own start
     for i, j, r in pairs:
         lo1, hi1, lo2, hi2 = _RANKS[r]
@@ -334,15 +329,13 @@ def entails(n1: Qcn, n2: Qcn) -> bool:
     """Is every model of n1 a model of n2?
 
     By refutation: n1 entails an entry (vi, vj, R) of n2 exactly when n1
-    with (vi, vj) narrowed to the complement of R is inconsistent.  A
-    constrained diagonal leaves n2 without models, so then only an
-    inconsistent n1 entails it.  n2's variables must all occur in n1.
+    with (vi, vj) narrowed to the complement of R is inconsistent; a
+    variable's own entry is refuted the same way.  n2's variables must all
+    occur in n1.
     """
     missing = set(n2.variables) - set(n1.variables)
     if missing:
         raise VariableSetError(f"variables not in the entailing network: {sorted(missing)}")
-    if any(n2.degenerate_diagonal()):
-        return not is_consistent(n1)
     return not any(
         is_consistent(n1.set_constraint(vi, vj, UNIVERSAL - rels))
         for vi, vj, rels in n2.nontrivial_pairs()

@@ -35,7 +35,6 @@ from .allen import (
     ENDPOINT_RANKS,
     UNIVERSAL,
     Interval,
-    Relation,
     RelationSet,
     endpoint_relation,
     relation_between,
@@ -185,17 +184,14 @@ def _constraint_obligations(
     instance: ResolvedInstance,
     network: Qcn,
     var_paths: Mapping[str, Path],
-) -> Optional[list[tuple[list[int], list[int], RelationSet]]]:
-    """Hull obligations (left occs, right occs, allowed relations).
+) -> list[tuple[list[int], list[int], RelationSet]]:
+    """Hull obligations (left occs, right occs, allowed relations), one per
+    network entry whose ends are executed, per iteration of their loops.
 
-    Returns None when the network is already violated structurally (a
-    degenerate diagonal on an executed node rules every model out).
+    A self-constraint is an entry like any other: its obligation relates
+    a hull to itself, which only eq satisfies.
     """
     obligations: list[tuple[list[int], list[int], RelationSet]] = []
-    for name, rels in network.degenerate_diagonal():
-        path = _require_path(var_paths, name)
-        if instance.resolution.executes(path) and Relation.EQUALS not in rels:
-            return None
     for vi, vj, rels in network.nontrivial_pairs():
         pi = _require_path(var_paths, vi)
         pj = _require_path(var_paths, vj)
@@ -245,10 +241,7 @@ def check_model(
             return False
     if network is None:
         return True
-    obligations = _constraint_obligations(instance, network, var_paths or {})
-    if obligations is None:
-        return False
-    for occs_i, occs_j, rels in obligations:
+    for occs_i, occs_j, rels in _constraint_obligations(instance, network, var_paths or {}):
         hull_i = hull(assignment[o] for o in occs_i)
         hull_j = hull(assignment[o] for o in occs_j)
         if relation_between(hull_i, hull_j) not in rels:
@@ -292,9 +285,12 @@ def weak_orders(
     Endpoint 2a is the start of atom a and endpoint 2a+1 its end; a start
     always lies strictly before its end.  ``le_pairs`` (x, y) additionally
     force layer[x] <= layer[y], and only orders under which every hull
-    obligation (see Hull above) holds are yielded.  Enumeration order is
-    deterministic.
+    obligation (see Hull above) holds are yielded.  An obligation that
+    allows no relation rules out every order, so then nothing is yielded
+    and nothing enumerated.  Enumeration order is deterministic.
     """
+    if any(h[4] == 0 for h in hulls):
+        return
     n = 2 * atom_count
     full = (1 << n) - 1
     preds = [0] * n
@@ -371,9 +367,9 @@ def _search_plan(
     instance: ResolvedInstance,
     network: Qcn | None,
     var_paths: Mapping[str, Path],
-) -> Optional[tuple[list[tuple[int, int]], list[Hull]]]:
-    """Sequence orderings and hull obligations for one instance, or None
-    when the instance cannot have any model."""
+) -> tuple[list[tuple[int, int]], list[Hull]]:
+    """Sequence orderings and hull obligations for one instance; an
+    obligation that allows no relation leaves the instance without models."""
     occ_index = {a.occ: i for i, a in enumerate(instance.atoms)}
     le_pairs: list[tuple[int, int]] = []
     for left, right in _sequence_conditions(instance.workflow):
@@ -382,10 +378,7 @@ def _search_plan(
                 le_pairs.append((2 * occ_index[lo] + 1, 2 * occ_index[ro]))
     hulls: list[Hull] = []
     if network is not None:
-        obligations = _constraint_obligations(instance, network, var_paths)
-        if obligations is None:
-            return None
-        for occs_i, occs_j, rels in obligations:
+        for occs_i, occs_j, rels in _constraint_obligations(instance, network, var_paths):
             ai = [occ_index[o] for o in occs_i]
             aj = [occ_index[o] for o in occs_j]
             hulls.append(hull_obligation(ai, aj, rels))
@@ -440,10 +433,7 @@ def find_model(
             skipped.append(size)
             continue
         instance = ResolvedInstance(w, resolution, *resolve_traced(w, resolution))
-        plan = _search_plan(instance, network, var_paths)
-        if plan is None:
-            continue
-        le_pairs, hulls = plan
+        le_pairs, hulls = _search_plan(instance, network, var_paths)
         if refute is not None and refute(len(instance.atoms), le_pairs, hulls):
             continue
         for layers in weak_orders(len(instance.atoms), le_pairs, hulls):
@@ -463,10 +453,7 @@ def find_model(
 # Network-level brute force (independent cross-check of the solver)
 
 
-def _network_hulls(n: Qcn) -> Optional[list[Hull]]:
-    for _, rels in n.degenerate_diagonal():
-        if Relation.EQUALS not in rels:
-            return None
+def _network_hulls(n: Qcn) -> list[Hull]:
     return [
         hull_obligation([n.index(vi)], [n.index(vj)], rels)
         for vi, vj, rels in n.nontrivial_pairs()
@@ -480,10 +467,7 @@ def network_models_bruteforce(n: Qcn) -> Iterator[dict[str, Interval]]:
     satisfying every constraint; never touches composition tables or path
     consistency, so it can arbitrate for the solver.
     """
-    hulls = _network_hulls(n)
-    if hulls is None:
-        return
-    for layers in weak_orders(len(n.variables), (), hulls):
+    for layers in weak_orders(len(n.variables), (), _network_hulls(n)):
         yield {
             name: Interval(Fraction(layers[2 * i]), Fraction(layers[2 * i + 1]))
             for i, name in enumerate(n.variables)
@@ -498,14 +482,12 @@ def network_scenario_relations_bruteforce(n: Qcn) -> dict[tuple[str, str], Relat
     """Per-edge union of relations over every solution of the network."""
     count = len(n.variables)
     union = {(i, j): 0 for i in range(count) for j in range(i + 1, count)}
-    hulls = _network_hulls(n)
-    if hulls is not None:
-        for layers in weak_orders(count, (), hulls):
-            for (i, j) in union:
-                rel = endpoint_relation(
-                    layers[2 * i], layers[2 * i + 1], layers[2 * j], layers[2 * j + 1]
-                )
-                union[(i, j)] |= rel.bit
+    for layers in weak_orders(count, (), _network_hulls(n)):
+        for (i, j) in union:
+            rel = endpoint_relation(
+                layers[2 * i], layers[2 * i + 1], layers[2 * j], layers[2 * j + 1]
+            )
+            union[(i, j)] |= rel.bit
     return {
         (n.variables[i], n.variables[j]): RelationSet(bits)
         for (i, j), bits in union.items()

@@ -530,23 +530,64 @@ _REWRITE_STEPS = 6
 _MAX_STATES = 4000
 
 
-def _order_facts(w: Workflow) -> tuple[set[str], set[tuple[str, str]]]:
-    """The atom names of w and the name pairs it orders: (x, y) when some
-    sequence has an atom named x in an earlier part than one named y."""
-    pairs: set[tuple[str, str]] = set()
-
-    def names(node: Workflow) -> set[str]:
+def _positions(w: Workflow) -> dict[str, dict[int, tuple[int, int]]]:
+    """Each atom name of w -> {sequence: (first, last)}: the first and last
+    part holding the name, of every sequence node that holds it."""
+    spans: dict[str, dict[int, tuple[int, int]]] = {}
+    stack: list = [(w, ())]  # a node and its enclosing (sequence, part) steps
+    while stack:
+        node, steps = stack.pop()
         if isinstance(node, Atomic):
-            return {node.name}
-        below: set[str] = set()
-        for kid in children(node):
-            inside = names(kid)
-            if isinstance(node, Seq):
-                pairs.update(itertools.product(below, inside))
-            below |= inside
-        return below
+            held = spans.setdefault(node.name, {})
+            for s, part in steps:
+                first, last = held.get(s, (part, part))
+                held[s] = (min(first, part), max(last, part))
+        elif isinstance(node, Seq):
+            # keyed by identity: a sequence object met twice has the same parts
+            stack += [(kid, steps + ((id(node), part),)) for part, kid in enumerate(node.parts)]
+        else:
+            stack += [(kid, steps) for kid in children(node)]
+    return spans
 
-    return names(w), pairs
+
+def _ordered_pairs(spans: dict[str, dict[int, tuple[int, int]]]) -> Iterator[tuple[str, str]]:
+    """Lazily, the name pairs (x, y) that a sequence orders: x's first part
+    there comes before y's last part."""
+    by_sequence: dict[int, list[tuple[int, int, str]]] = {}
+    for name, held in spans.items():
+        for s, (first, last) in held.items():
+            by_sequence.setdefault(s, []).append((first, last, name))
+    for members in by_sequence.values():
+        members.sort()
+        for _, last, y in members:
+            for first, _, x in members:
+                if first >= last:
+                    break
+                yield x, y
+
+
+def _order_facts(w: Workflow) -> tuple[set[str], set[tuple[str, str]]]:
+    """The atom names of w and the name pairs it orders, as sets: (x, y)
+    when some sequence has an atom named x in an earlier part than one
+    named y."""
+    spans = _positions(w)
+    return set(spans), set(_ordered_pairs(spans))
+
+
+def _within_order_facts(start: Workflow, goal: Workflow) -> bool:
+    """Are the goal's atom names and ordered pairs all the start's?  Stops
+    at the first of the goal's pairs, made lazily, that start lacks."""
+    have, want = _positions(start), _positions(goal)
+    if not want.keys() <= have.keys():
+        return False
+    for x, y in _ordered_pairs(want):
+        lasts = have[y]
+        for s, (first, _) in have[x].items():
+            if s in lasts and first < lasts[s][1]:
+                break
+        else:
+            return False
+    return True
 
 
 def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
@@ -575,8 +616,7 @@ def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
     frontier = [start]
     if fingerprint(start) == goal:
         return SubsumptionVerdict.HOLDS
-    (names1, pairs1), (names2, pairs2) = _order_facts(start), _order_facts(target)
-    if not (names2 <= names1 and pairs2 <= pairs1):
+    if not _within_order_facts(start, target):
         return SubsumptionVerdict.UNKNOWN
     for _ in range(_REWRITE_STEPS):
         next_frontier: list[Workflow] = []

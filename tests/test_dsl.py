@@ -6,6 +6,7 @@ import pytest
 
 from conftest import rand_extended
 from twf import corpus_path
+from twf.allen import RelationSet
 from twf.dsl import (
     Diagnostic,
     ParseError,
@@ -297,10 +298,12 @@ class TestRoundTrip:
 
     def test_self_constraint_round_trips(self):
         ew = parse_extended("workflow w = or{ p | q }\nconstraints { p {b} p; }")
-        assert list(ew.network.degenerate_diagonal())
+        assert not ew.network.get("p", "p")
+        assert list(ew.network.nontrivial_pairs()) == [("p", "p", RelationSet(0))]
         printed = format_document(ew, "w")
         reparsed = parse_extended(printed)
-        assert list(reparsed.network.degenerate_diagonal())
+        assert not reparsed.network.get("p", "p")
+        assert list(reparsed.network.nontrivial_pairs()) == [("p", "p", RelationSet(0))]
 
     def test_quoting_edge_cases(self):
         cases = [

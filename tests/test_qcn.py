@@ -9,6 +9,7 @@ import pytest
 from conftest import traced_peak, tree_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_semantics import small_networks
 
 import twf.qcn
 from twf.allen import (
@@ -90,17 +91,40 @@ class TestConstruction:
 
     def test_diagonal_self_constraint(self):
         n = Qcn.universal(("i",)).set_constraint("i", "i", B)
-        assert list(n.degenerate_diagonal()) == [("i", RelationSet(0))]
+        assert n.get("i", "i") == RelationSet(0)
+        assert list(n.nontrivial_pairs()) == [("i", "i", RelationSet(0))]
         assert not is_consistent(n)
 
     def test_with_variable_keeps_constraints(self):
         n = Qcn.universal(("i", "j")).set_constraint("i", "i", B).set_constraint("i", "j", BM)
         grown = n.with_variable("k")
         assert grown.variables == ("i", "j", "k")
-        assert list(grown.degenerate_diagonal()) == [("i", RelationSet(0))]
-        assert list(grown.nontrivial_pairs()) == [("i", "j", BM)]
+        assert grown.get("i", "i") == RelationSet(0)
+        assert list(grown.nontrivial_pairs()) == [("i", "i", RelationSet(0)), ("i", "j", BM)]
         assert grown.get("k", "k") == RelationSet.parse("eq")
         assert not is_consistent(grown)
+
+
+def test_a_self_constraint_is_an_entry_like_any_other():
+    # a {b} a rules out every schedule, so nothing may treat the network as
+    # a scenario, realize it or accept a schedule for it
+    n = Qcn.universal(("a", "b")).set_constraints([("a", "b", B), ("a", "a", B)])
+    assert not n.is_scenario
+    with pytest.raises(ValueError):
+        realize_scenario(n)
+    assert not check_schedule(n, {"a": interval(0, 1), "b": interval(2, 3)})
+    assert "a {} a" in str(n)
+
+
+@given(small_networks(), st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=3))
+@settings(max_examples=200, deadline=None)
+def test_check_schedule_is_the_definition(n, spans):
+    # every ordered pair of variables, a variable with itself included
+    schedule = {v: interval(lo, lo + size) for v, (lo, size) in zip(n.variables, spans)}
+    assert check_schedule(n, schedule) == all(
+        relation_between(schedule[vi], schedule[vj]) in n.get(vi, vj)
+        for vi, vj in itertools.product(n.variables, repeat=2)
+    )
 
 
 EQ = RelationSet.parse("eq")
@@ -142,13 +166,12 @@ def test_network_api_agrees_with_a_dense_reference():
         m = dense_reference(names, constraints)
         for (i, vi), (j, vj) in itertools.product(enumerate(names), repeat=2):
             assert n.get(vi, vj).bits == m[i][j]
+        # row-major: a diagonal entry that differs from {eq}, an
+        # off-diagonal one that differs from universal
         assert list(n.nontrivial_pairs()) == [
             (vi, vj, RelationSet(m[i][j]))
-            for (i, vi), (j, vj) in itertools.combinations(enumerate(names), 2)
-            if m[i][j] != UNIVERSAL.bits
-        ]
-        assert list(n.degenerate_diagonal()) == [
-            (v, RelationSet(m[i][i])) for i, v in enumerate(names) if m[i][i] != EQ.bits
+            for (i, vi), (j, vj) in itertools.combinations_with_replacement(enumerate(names), 2)
+            if m[i][j] != (EQ.bits if i == j else UNIVERSAL.bits)
         ]
         vi, vj = rng.choice(names), rng.choice(names)
         assert n.set_constraint(vi, vj, UNIVERSAL) == n

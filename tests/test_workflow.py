@@ -3,12 +3,20 @@ normal forms, substitution and syntactic subsumption."""
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_instances, executions_included, rand_workflow, workflow_strategy
+from conftest import (
+    enumerate_instances,
+    executions_included,
+    rand_workflow,
+    traced_peak,
+    workflow_strategy,
+)
 from twf import workflow
 from twf.workflow import (
     Atomic,
@@ -22,6 +30,7 @@ from twf.workflow import (
     _generalizations,
     _norm,
     _order_facts,
+    _within_order_facts,
     atom,
     atoms,
     children,
@@ -44,6 +53,7 @@ from twf.workflow import (
     subsumes_syntactic,
     subworkflows,
     unroll,
+    with_children,
 )
 
 
@@ -111,6 +121,41 @@ def reference_nodes(w, prefix=()):
     yield prefix, w
     for step, child in enumerate(children(w)):
         yield from reference_nodes(child, prefix + (step,))
+
+
+def reference_order_facts(w):
+    """The atom names of w and every name pair it orders, as the prefilter
+    computed them before it read positions: quadratic in the tree's size."""
+    pairs = set()
+
+    def names(node):
+        if isinstance(node, Atomic):
+            return {node.name}
+        below = set()
+        for kid in children(node):
+            inside = names(kid)
+            if isinstance(node, Seq):
+                pairs.update(itertools.product(below, inside))
+            below |= inside
+        return below
+
+    return names(w), pairs
+
+
+def random_normal_tree(rng):
+    """A normalized random tree over four names; up to two of its nodes
+    carry a label, which keeps some sequences nested."""
+    w = rand_workflow(rng, max_depth=4, max_leaves=rng.randint(1, 7))
+    paths = [p for p, _ in iter_nodes(w)]
+    labelled = rng.sample(paths, min(len(paths), rng.randint(0, 2)))
+    return _norm(relabel(w, {p: f"L{k}" for k, p in enumerate(labelled)}))
+
+
+def renamed(w, names):
+    """The tree with each atom renamed through ``names``."""
+    if isinstance(w, Atomic):
+        return replace(w, name=names[w.name])
+    return with_children(w, [renamed(kid, names) for kid in children(w)])
 
 
 def nested(levels):
@@ -493,6 +538,41 @@ class TestSubsumption:
             ("a", "b"), ("a", "c"), ("a", "d"), ("a", "a"),
             ("b", "d"), ("b", "a"), ("c", "d"), ("c", "a"), ("d", "a"),
         }
+
+    def test_prefilter_reads_positions_like_the_quadratic_check(self):
+        # random normalized (start, goal) pairs: independent trees, goals a
+        # rewrite or two away (never refuted), and goals with the start's
+        # names permuted, where the names pass and the pairs decide
+        rng = random.Random(20261020)
+        outcomes = Counter()
+        for case in range(12000):
+            start = random_normal_tree(rng)
+            if case % 3 == 0:
+                goal = random_normal_tree(rng)
+            elif case % 3 == 1:
+                goal = start
+                for _ in range(rng.randint(1, 2)):
+                    goal = _norm(rng.choice(list(_generalizations(goal))))
+            else:
+                names = sorted(reference_order_facts(start)[0])
+                goal = _norm(renamed(start, dict(zip(names, rng.sample(names, len(names))))))
+            (names1, pairs1), (names2, pairs2) = map(reference_order_facts, (start, goal))
+            assert _order_facts(start) == (names1, pairs1)
+            within = names2 <= names1 and pairs2 <= pairs1
+            assert _within_order_facts(start, goal) == within
+            outcomes[within, names2 <= names1] += 1
+        # accepted, refuted by a name, refuted by a pair alone
+        assert min(outcomes[True, True], outcomes[False, False], outcomes[False, True]) >= 500
+
+    def test_prefilter_memory_stays_linear(self):
+        # a reversed chain is refuted by its first pair; the quadratic set of
+        # the chain's ordered pairs took hundreds of MB here
+        steps = [atom(f"s{i}") for i in range(3000)]
+        chain, backwards = seq(*steps), seq(*reversed(steps))
+        verdict = []
+        peak = traced_peak(lambda: verdict.append(subsumes_syntactic(chain, backwards)))
+        assert verdict == [SubsumptionVerdict.UNKNOWN]
+        assert peak < 25 * 2**20
 
     @given(labelled_workflows())
     @settings(max_examples=150, deadline=None)
