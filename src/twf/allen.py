@@ -5,9 +5,9 @@ Relations are defined once, by the order of the four endpoints
 proper intervals always stand in exactly one basic relation.  A
 relation set is a 13-bit int mask, bit ``r`` standing for ``RELATIONS[r]``;
 :class:`RelationSet` is the public, range-checked type, while the solver
-works on the bare ints through :func:`compose_masks` and
-:func:`converse_mask`.  Both read small tables built at import from the
-frozen composition table; nothing is cached at run time.
+works on the bare ints through :func:`compose_masks` and :func:`converse_mask`.
+The converse tables are built at import, and the composition tables of each
+half of a left operand (:func:`compose_rows`) from the frozen table on first use.
 :func:`generate_composition_table` re-derives the frozen table from scratch
 by enumerating small integer interval configurations, and the test suite
 asserts the two agree bit for bit.
@@ -16,6 +16,7 @@ asserts the two agree bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,33 +273,33 @@ def _half_tables(images: list[int]) -> list[list[int]]:
         table = [0]
         for image in part:
             # masks that add this bit follow, in order, the masks without it
-            table += [bits | image for bits in table]
+            table += [_MASKS[bits | image] for bits in table]
         tables.append(table)
     return tables
 
 
-def _composition_images(r: Relation) -> list[int]:
-    row = _COMPOSITION_ROWS[r.token]
-    return [
-        _ALL_BITS if row[s.token] == "*" else RelationSet.parse(row[s.token]).bits
-        for s in RELATIONS
-    ]
-
-
+_MASKS = list(range(_ALL_BITS + 1))  # one int object per mask, shared by all tables
 _CONVERSE_LOW, _CONVERSE_HIGH = _half_tables([r.inverse.bit for r in RELATIONS])
-# per relation r, the (low, high) half tables of r composed with a mask
-_COMPOSE_HALVES = [tuple(_half_tables(_composition_images(r))) for r in RELATIONS]
+_COMPOSE_IMAGES = [  # per relation r by bit position, r composed with each relation
+    [_ALL_BITS if row[s.token] == "*" else RelationSet.parse(row[s.token]).bits for s in RELATIONS]
+    for row in (_COMPOSITION_ROWS[r.token] for r in RELATIONS)
+]
 
 
-def compose_halves(mask: int) -> list[tuple[list[int], list[int]]]:
-    """The (low, high) half tables of each relation of a mask, for composing
-    it as the left operand (see :func:`compose_masks`)."""
-    halves = []
-    while mask:
-        lowest = mask & -mask
-        halves.append(_COMPOSE_HALVES[lowest.bit_length() - 1])
-        mask ^= lowest
-    return halves
+@functools.cache
+def _row(half: int) -> tuple[list[int], list[int]]:
+    """The (low, high) half tables of the relations in ``half`` composed with a mask."""
+    images = [0] * len(RELATIONS)
+    for r in range(half.bit_length()):
+        if half >> r & 1:
+            images = [x | y for x, y in zip(images, _COMPOSE_IMAGES[r])]
+    return tuple(_half_tables(images))
+
+
+def compose_rows(mask: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The tables composing a mask, as the left operand, with a right mask R:
+    the union is ``ll[R & 127] | lh[R >> 7] | hl[R & 127] | hh[R >> 7]``."""
+    return _row(mask & 127) + _row(mask >> 7 << 7)
 
 
 def converse_mask(mask: int) -> int:
@@ -308,11 +309,8 @@ def converse_mask(mask: int) -> int:
 
 def compose_masks(mask1: int, mask2: int) -> int:
     """Union of the pairwise compositions of two relation masks."""
-    low, high = mask2 & 127, mask2 >> 7
-    bits = 0
-    for low_table, high_table in compose_halves(mask1):
-        bits |= low_table[low] | high_table[high]
-    return bits
+    ll, lh, hl, hh = compose_rows(mask1)
+    return ll[mask2 & 127] | lh[mask2 >> 7] | hl[mask2 & 127] | hh[mask2 >> 7]
 
 
 def compose(r: Relation, s: Relation) -> RelationSet:

@@ -26,7 +26,7 @@ from .allen import (
     Interval,
     Relation,
     RelationSet,
-    compose_halves,
+    compose_rows,
     converse_mask,
     endpoint_relation,
     relation_between,
@@ -108,7 +108,8 @@ class Qcn:
             if i > j:
                 i, j, mask = j, i, converse_mask(mask)
             edges[i, j] = edges.get((i, j), _EQ if i == j else _ANY) & mask
-        return _network(self.variables, sorted(edges.items()))
+        kept = {ij: m for ij, m in sorted(edges.items()) if m != (_EQ if ij[0] == ij[1] else _ANY)}
+        return Qcn(self.variables, kept)
 
     def set_constraint(self, vi: str, vj: str, rels: RelationSet) -> "Qcn":
         """:meth:`set_constraints` with one constraint."""
@@ -131,15 +132,16 @@ class Qcn:
         return f"Qcn({', '.join(self.variables)}; {'; '.join(parts)})"
 
 
-def _network(variables: tuple[str, ...], entries: Iterable) -> Qcn:
-    """The network of ``entries`` ((i, j), mask), i <= j, in row-major order, minus defaults."""
-    return Qcn(variables, {ij: m for ij, m in entries if m != (_EQ if ij[0] == ij[1] else _ANY)})
-
-
 def _snapshot(variables: tuple[str, ...], m: list[list[int]]) -> Qcn:
     """The network that a mask matrix of the solver holds."""
-    entries = (((i, j), mask) for i, row in enumerate(m) for j, mask in enumerate(row[i:], i))
-    return _network(variables, entries)
+    edges = {}
+    for i, row in enumerate(m):
+        if row[i] != _EQ:
+            edges[i, i] = row[i]
+        for j in range(i + 1, len(row)):
+            if row[j] != _ANY:
+                edges[i, j] = row[j]
+    return Qcn(variables, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def _pc_bits(
     queued edges (i < j) and through each edge it narrows, to a fixpoint.
 
     A dequeued edge (i, j) revises (i, k) through j, then (j, k) through i,
-    each pass with one left operand whose tables are picked once.  A
+    each pass with one left operand whose four tables are picked once.  A
     universal entry cannot narrow anything, so none is composed or queued.
 
     Logs each narrowing on ``trail``, if given; returns False once an entry is empty.
@@ -164,17 +166,14 @@ def _pc_bits(
         i, j = queue.popleft()
         queued.discard((i, j))
         for a, via in ((i, j), (j, i)):
-            halves = compose_halves(m[a][via])
+            ll, lh, hl, hh = compose_rows(m[a][via])
             row_a, row_via = m[a], m[via]
             for k in range(n):
                 right = row_via[k]
                 if right == _ANY or k == a or k == via:
                     continue
                 low, high = right & 127, right >> 7
-                bits = 0
-                for low_table, high_table in halves:
-                    bits |= low_table[low] | high_table[high]
-                refined = row_a[k] & bits
+                refined = row_a[k] & (ll[low] | lh[high] | hl[low] | hh[high])
                 if refined != row_a[k]:
                     if trail is not None:
                         trail.append((a, k, row_a[k]))
@@ -235,13 +234,16 @@ def scenarios(n: Qcn) -> Iterator[tuple[Qcn, Schedule]]:
     # copies: memory stays one matrix plus the trail, however deep the search
     trail, frames = [], []
     while True:
-        best = None
-        best_size = 14
+        best, best_size = None, 14
         for i, row in enumerate(m):
             for j in range(i + 1, len(row)):
                 size = row[j].bit_count()
                 if 1 < size < best_size:
                     best, best_size = (i, j, row[j]), size
+                    if size == 2:  # no entry is smaller
+                        break
+            if best_size == 2:
+                break
         if best is None:
             scenario = _snapshot(n.variables, m)
             yield scenario, realize_scenario(scenario)

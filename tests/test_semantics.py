@@ -190,7 +190,8 @@ def test_the_oracle_shares_no_code_with_the_solver():
     """semantics arbitrates for composition and path consistency, so it
     must neither import nor name them."""
     solver = {
-        "compose_masks", "compose_sets", "path_consistency", "is_consistent", "scenarios", "_pc_bits"
+        "compose_masks", "compose_rows", "compose_sets", "path_consistency", "is_consistent",
+        "scenarios", "_pc_bits",
     }
     tree = ast.parse(Path(semantics.__file__).read_text(encoding="utf-8"))
     named = set()
