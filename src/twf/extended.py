@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .allen import Relation, RelationSet
-from .qcn import Qcn, entails, is_consistent, path_consistency
+from .qcn import Qcn, _closure, entails, is_consistent
 from .semantics import Hull, Model, find_model
 from .workflow import (
     Atomic,
@@ -334,18 +334,18 @@ def refutes_plan(atom_count: int, le_pairs: list[tuple[int, int]], hulls: list[H
     """
     names = [f"a{i}" for i in range(atom_count)]
     sides = {1 << 2 * i: name for i, name in enumerate(names)}
-    for obligation in hulls:
-        for starts in obligation[0], obligation[2]:
+    for starts_i, starts_j, _ in hulls:
+        for starts in starts_i, starts_j:
             sides.setdefault(starts, f"h{starts}")
     constraints = [(names[x >> 1], names[y >> 1], SEQUENCE_RELATIONS) for x, y in le_pairs]
     for starts, hull_name in list(sides.items())[atom_count:]:
         for i in range(atom_count):
             if starts >> 2 * i & 1:
                 constraints.append((names[i], hull_name, INSIDE_HULL))
-    for starts_i, _, starts_j, _, allowed in hulls:
+    for starts_i, starts_j, allowed in hulls:
         constraints.append((sides[starts_i], sides[starts_j], RelationSet(allowed)))
     network = Qcn.universal(tuple(sides.values())).set_constraints(constraints)
-    return not path_consistency(network)[1]
+    return not _closure(network)[1]
 
 
 def find_witness(ew: ExtendedWorkflow, *, unroll_bound: int = 3) -> Optional[Model]:

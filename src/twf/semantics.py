@@ -252,10 +252,11 @@ def check_model(
 # ---------------------------------------------------------------------------
 # Weak-order enumeration
 
-# A hull obligation (starts_i, ends_i, starts_j, ends_j, allowed): bit masks
-# of the start and end endpoints of two non-empty atom sets, and the mask of
-# the relations allowed between the hulls of the two sets.
-Hull = tuple[int, int, int, int, int]
+# A hull obligation (starts_i, starts_j, allowed): bit masks of the start
+# endpoints of two non-empty atom sets, and the mask of the relations allowed
+# between the hulls of the two sets.  An atom's end is the bit above its
+# start, so a set's end mask is its start mask shifted left by one.
+Hull = tuple[int, int, int]
 
 
 def _next_group_table() -> list[list[int]]:
@@ -289,50 +290,43 @@ def weak_orders(
     allows no relation rules out every order, so then nothing is yielded
     and nothing enumerated.  Enumeration order is deterministic.
     """
-    if any(h[4] == 0 for h in hulls):
+    if any(allowed == 0 for _, _, allowed in hulls):
         return
     n = 2 * atom_count
     full = (1 << n) - 1
+    ends = full // 3 << 1  # the odd bits
     preds = [0] * n
     for x, y in le_pairs:
         preds[y] |= 1 << x
     layers = [0] * n
 
-    # A pending obligation also carries which of its four hull endpoints
-    # are placed and the relations still possible.  A hull starts with the
-    # first of its starts and ends with the last of its ends; once all four
-    # are placed one relation is possible, so no obligation outlives the
-    # last layer.
+    # A pending obligation also carries its end masks, which of its four
+    # hull endpoints are placed and the relations still possible.  A hull
+    # starts with the first of its starts and ends with the last of its
+    # ends; once all four are placed one relation is possible, so no
+    # obligation outlives the last layer.
     def rec(
         remaining: int, depth: int, pending: list[tuple[int, ...]]
     ) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield tuple(layers)
             return
-        allowed = 0
-        rem = remaining
-        while rem:
-            bit = rem & -rem
-            e = bit.bit_length() - 1
-            if e % 2 == 0 or not (remaining >> (e - 1)) & 1:
-                allowed |= bit
-            rem ^= bit
+        # a start, or an end whose start is placed
+        allowed = remaining & ~(remaining << 1 & ends)
         sub = allowed
         while sub:
             rest = remaining & ~sub
-            chosen, valid = sub, True
+            # a layer written for a group rejected here is rewritten before
+            # any leaf reads it, since a leaf places every endpoint
+            chosen = sub
             while chosen:
                 bit = chosen & -chosen
-                if preds[bit.bit_length() - 1] & rest:
-                    valid = False
+                e = bit.bit_length() - 1
+                if preds[e] & rest:
                     break
+                layers[e] = depth
                 chosen ^= bit
-            if valid:
-                chosen = sub
-                while chosen:
-                    bit = chosen & -chosen
-                    layers[bit.bit_length() - 1] = depth
-                    chosen ^= bit
+            else:
                 placed = full & ~rest
                 still = []
                 for obligation in pending:
@@ -348,15 +342,15 @@ def weak_orders(
                         continue
                     possible &= _NEXT_GROUP[done][now ^ done]
                     if not possible & rels:
-                        valid = False
                         break
                     if possible & ~rels:
                         still.append((s1, e1, s2, e2, rels, now, possible))
-                if valid:
+                else:
                     yield from rec(rest, depth + 1, still)
             sub = (sub - 1) & allowed
 
-    yield from rec(full, 0, [(*h, 0, UNIVERSAL.bits) for h in hulls])
+    seeded = [(s1, s1 << 1, s2, s2 << 1, rels, 0, UNIVERSAL.bits) for s1, s2, rels in hulls]
+    yield from rec(full, 0, seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +381,7 @@ def _search_plan(
 
 def hull_obligation(ai: list[int], aj: list[int], rels: RelationSet) -> Hull:
     """The hulls over two atom sets must relate within rels."""
-    starts_i = sum(1 << 2 * a for a in ai)
-    starts_j = sum(1 << 2 * a for a in aj)
-    return starts_i, starts_i << 1, starts_j, starts_j << 1, rels.bits
+    return sum(1 << 2 * a for a in ai), sum(1 << 2 * a for a in aj), rels.bits
 
 
 def _over_budget(atom_budget: int, skipped: int, smallest: int) -> AtomBudgetError:
@@ -413,10 +405,12 @@ def find_model(
     Iterates resolutions up to the loop bound, enumerates endpoint weak
     orders for each, and returns the first candidate that passes
     check_model.  Execution shapes with more atoms than ``atom_budget``
-    are counted and skipped without being resolved; if nothing was found
-    and something was skipped, the verdict is indeterminate and
-    AtomBudgetError is raised instead of None; when every shape is over
-    the budget, the shape census of the tree alone gives that verdict.
+    are counted and skipped without being resolved, and those running a
+    loop more than atom_budget + 1 times are counted by the shape census
+    and never listed.  If nothing was found and something was skipped,
+    the verdict is indeterminate and AtomBudgetError is raised instead of
+    None; when every shape is over the budget, the census alone gives
+    that verdict.
     A shape whose search plan ``refute(atom_count, le_pairs, hulls)``
     proves model-free is skipped unsearched; without ``refute`` the search
     shares no code with the solver it arbitrates for.
@@ -428,10 +422,15 @@ def find_model(
         raise _over_budget(atom_budget, count, smallest)
     var_paths = var_paths or {}
     skipped: list[int] = []
-    for resolution, size in resolutions(w, unroll_bound):
+    # each iteration adds an atom, so a loop run more than atom_budget + 1
+    # times is over the budget and larger than the listed shape that runs
+    # it atom_budget + 1 times.  The census counted every shape, so once
+    # the in-budget ones are taken off, count is the number skipped
+    for resolution, size in resolutions(w, min(unroll_bound, atom_budget + 1)):
         if size > atom_budget:
             skipped.append(size)
             continue
+        count -= 1
         instance = ResolvedInstance(w, resolution, *resolve_traced(w, resolution))
         le_pairs, hulls = _search_plan(instance, network, var_paths)
         if refute is not None and refute(len(instance.atoms), le_pairs, hulls):
@@ -444,8 +443,8 @@ def find_model(
             if check_model(instance, assignment, network, var_paths):
                 return Model(instance, assignment)
             raise RuntimeError("search produced a candidate that fails verification")
-    if skipped:
-        raise _over_budget(atom_budget, len(skipped), min(skipped))
+    if count:
+        raise _over_budget(atom_budget, count, min(skipped))
     return None
 
 
@@ -454,10 +453,7 @@ def find_model(
 
 
 def _network_hulls(n: Qcn) -> list[Hull]:
-    return [
-        hull_obligation([n.index(vi)], [n.index(vj)], rels)
-        for vi, vj, rels in n.nontrivial_pairs()
-    ]
+    return [(1 << 2 * i, 1 << 2 * j, mask) for (i, j), mask in n.edges.items()]
 
 
 def network_models_bruteforce(n: Qcn) -> Iterator[dict[str, Interval]]:

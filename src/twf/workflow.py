@@ -566,14 +566,6 @@ def _ordered_pairs(spans: dict[str, dict[int, tuple[int, int]]]) -> Iterator[tup
                 yield x, y
 
 
-def _order_facts(w: Workflow) -> tuple[set[str], set[tuple[str, str]]]:
-    """The atom names of w and the name pairs it orders, as sets: (x, y)
-    when some sequence has an atom named x in an earlier part than one
-    named y."""
-    spans = _positions(w)
-    return set(spans), set(_ordered_pairs(spans))
-
-
 def _within_order_facts(start: Workflow, goal: Workflow) -> bool:
     """Are the goal's atom names and ordered pairs all the start's?  Stops
     at the first of the goal's pairs, made lazily, that start lacks."""
@@ -601,7 +593,7 @@ def subsumes_syntactic(w1: Workflow, w2: Workflow) -> SubsumptionVerdict:
     negative claim.
 
     No rewrite and no normalization step adds an atom name or an ordered
-    name pair (see ``_order_facts``): grouping a sequence into a
+    name pair (see ``_ordered_pairs``): grouping a sequence into a
     conjunction drops the pairs across the cut, absorbing into a loop
     deletes parts, wrapping in a loop keeps every sequence, and flattening,
     sorting, deduplicating and collapsing add nothing.  So every state the

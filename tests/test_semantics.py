@@ -14,10 +14,11 @@ from conftest import (
     loop_context,
     rand_extended,
     rand_workflow,
+    traced_peak,
     workflow_strategy,
 )
 from twf import semantics
-from twf.allen import RELATIONS, Interval, RelationSet, interval, relation_between
+from twf.allen import RELATIONS, UNIVERSAL, Interval, RelationSet, interval, relation_between
 from twf.extended import refutes_plan, variable_paths
 from twf.qcn import Qcn
 from twf.semantics import (
@@ -27,6 +28,7 @@ from twf.semantics import (
     execution_times,
     find_model,
     hull,
+    hull_obligation,
     network_models_bruteforce,
     weak_orders,
 )
@@ -39,6 +41,7 @@ from twf.workflow import (
     iter_nodes,
     loop,
     rename_occurrences,
+    resolutions,
     resolve_traced,
     seq,
 )
@@ -63,6 +66,76 @@ def count_weak_orders_directly(m: int) -> int:
     return count
 
 
+def reference_weak_orders(atom_count, le_pairs=(), hulls=()):
+    """The weak-order enumerator as it stood before the one-pass step: it
+    finds the placeable endpoints bit by bit, checks predecessors and
+    writes layers in two passes, and carries five-int obligations (the
+    ends spelled out).  Witnesses are the first order found, so the
+    production enumerator must yield exactly this sequence."""
+    hulls = [(s1, s1 << 1, s2, s2 << 1, rels) for s1, s2, rels in hulls]
+    if any(h[4] == 0 for h in hulls):
+        return
+    n = 2 * atom_count
+    full = (1 << n) - 1
+    preds = [0] * n
+    for x, y in le_pairs:
+        preds[y] |= 1 << x
+    layers = [0] * n
+
+    def rec(remaining, depth, pending):
+        if remaining == 0:
+            yield tuple(layers)
+            return
+        allowed = 0
+        rem = remaining
+        while rem:
+            bit = rem & -rem
+            e = bit.bit_length() - 1
+            if e % 2 == 0 or not (remaining >> (e - 1)) & 1:
+                allowed |= bit
+            rem ^= bit
+        sub = allowed
+        while sub:
+            rest = remaining & ~sub
+            chosen, valid = sub, True
+            while chosen:
+                bit = chosen & -chosen
+                if preds[bit.bit_length() - 1] & rest:
+                    valid = False
+                    break
+                chosen ^= bit
+            if valid:
+                chosen = sub
+                while chosen:
+                    bit = chosen & -chosen
+                    layers[bit.bit_length() - 1] = depth
+                    chosen ^= bit
+                placed = full & ~rest
+                still = []
+                for obligation in pending:
+                    s1, e1, s2, e2, rels, done, possible = obligation
+                    now = (
+                        (s1 & placed != 0)
+                        | (e1 & placed == e1) << 1
+                        | (s2 & placed != 0) << 2
+                        | (e2 & placed == e2) << 3
+                    )
+                    if now == done:
+                        still.append(obligation)
+                        continue
+                    possible &= semantics._NEXT_GROUP[done][now ^ done]
+                    if not possible & rels:
+                        valid = False
+                        break
+                    if possible & ~rels:
+                        still.append((s1, e1, s2, e2, rels, now, possible))
+                if valid:
+                    yield from rec(rest, depth + 1, still)
+            sub = (sub - 1) & allowed
+
+    yield from rec(full, 0, [(*h, 0, UNIVERSAL.bits) for h in hulls])
+
+
 class TestWeakOrders:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_count_matches_direct_enumeration(self, m):
@@ -84,6 +157,27 @@ class TestWeakOrders:
 
     def test_deterministic(self):
         assert list(weak_orders(2)) == list(weak_orders(2))
+
+    def test_same_sequence_as_the_reference(self, rng):
+        # random plans of <= 4 atoms: endpoint orderings in any direction,
+        # sides of one or more atoms, and now and then an empty relation set
+        plans = [(m, (), ()) for m in range(5)]
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            endpoints = range(2 * m)
+            le_pairs = [tuple(rng.sample(endpoints, 2)) for _ in range(rng.randint(0, 3))]
+            hulls = [
+                hull_obligation(
+                    rng.sample(range(m), rng.randint(1, m)),
+                    rng.sample(range(m), rng.randint(1, m)),
+                    RelationSet(rng.getrandbits(13) if rng.random() < 0.9 else 0),
+                )
+                for _ in range(rng.randint(0, 3))
+            ]
+            plans.append((m, le_pairs, hulls))
+        assert any(not allowed for _, _, hulls in plans for *_, allowed in hulls)
+        for plan in plans:
+            assert list(weak_orders(*plan)) == list(reference_weak_orders(*plan))
 
 
 @st.composite
@@ -182,7 +276,7 @@ def test_refuted_plans_have_no_model(case):
         if m > 4:
             continue
         plan = semantics._search_plan(instance, network, var_paths)
-        if plan is not None and refutes_plan(m, *plan):
+        if refutes_plan(m, *plan):
             assert next(weak_orders(m, *plan), None) is None
 
 
@@ -329,6 +423,44 @@ class TestFindModel:
         w = rename_occurrences(disj(conj(*(atom(n) for n in "abcdefgh")), atom("z")))
         assert find_model(w) is not None
         assert [r.choices for r in calls] == [{(): 1}]
+
+    def test_loop_counts_past_the_budget_are_counted_not_listed(self):
+        # one loop{a} shape per count; a shape with more than atom_budget + 1
+        # iterations is never built, so a huge bound costs no memory
+        w = rename_occurrences(loop(atom("a")))
+        found = []
+        peak = traced_peak(lambda: found.append(find_model(w, unroll_bound=100_000)))
+        assert found[0] is not None and len(found[0].instance.atoms) == 1
+        assert peak < 2**20
+        # the skipped shapes are the census's: counts 8 .. 20, the smallest 8 atoms
+        net = Qcn.universal(("a",)).set_constraint("a", "a", RelationSet.parse("b"))
+        with pytest.raises(AtomBudgetError, match="shapes skipped: 13, the smallest with 8 atoms"):
+            find_model(w, net, {"a": (0,)}, unroll_bound=20)
+
+    def test_capped_loop_counts_give_the_uncapped_answer(self, rng, monkeypatch):
+        def outcome(ew, bound, budget):
+            try:
+                model = find_model(
+                    ew.workflow, ew.network, variable_paths(ew),
+                    unroll_bound=bound, atom_budget=budget,
+                )
+            except AtomBudgetError as exc:
+                return str(exc)
+            if model is None:
+                return None
+            rows = [(a.name, a.source, a.iterations, iv) for a, iv in model.atom_intervals()]
+            return model.resolution, rows
+
+        # about a third of the cases run a loop past atom_budget + 1 times,
+        # some of them with no model in the budget
+        for _ in range(150):
+            ew = rand_extended(rng, max_constraints=4, max_loops=2)
+            bound, budget = rng.randint(1, 12), rng.randint(2, 5)
+            capped = outcome(ew, bound, budget)
+            with monkeypatch.context() as patched:
+                # every shape up to the bound, as before the cap
+                patched.setattr(semantics, "resolutions", lambda w, _: resolutions(w, bound))
+                assert outcome(ew, bound, budget) == capped
 
     def test_self_constraint_on_unexecuted_branch_is_vacuous(self):
         # p {b} p rules out executing p, but the other branch still works

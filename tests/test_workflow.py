@@ -29,7 +29,8 @@ from twf.workflow import (
     SubsumptionVerdict,
     _generalizations,
     _norm,
-    _order_facts,
+    _ordered_pairs,
+    _positions,
     _within_order_facts,
     atom,
     atoms,
@@ -140,6 +141,14 @@ def reference_order_facts(w):
         return below
 
     return names(w), pairs
+
+
+def order_facts(w):
+    """The atom names of w and the name pairs it orders, as sets: (x, y)
+    when some sequence has an atom named x in an earlier part than one
+    named y.  Read from the positions the prefilter walks."""
+    spans = _positions(w)
+    return set(spans), set(_ordered_pairs(spans))
 
 
 def random_normal_tree(rng):
@@ -532,7 +541,7 @@ class TestSubsumption:
 
     def test_order_facts_of_a_sequence(self):
         w = rename_occurrences(seq(atom("a"), conj(atom("b"), atom("c")), loop(seq(atom("d"), atom("a")))))
-        names, pairs = _order_facts(w)
+        names, pairs = order_facts(w)
         assert names == set("abcd")
         assert pairs == {
             ("a", "b"), ("a", "c"), ("a", "d"), ("a", "a"),
@@ -557,7 +566,7 @@ class TestSubsumption:
                 names = sorted(reference_order_facts(start)[0])
                 goal = _norm(renamed(start, dict(zip(names, rng.sample(names, len(names))))))
             (names1, pairs1), (names2, pairs2) = map(reference_order_facts, (start, goal))
-            assert _order_facts(start) == (names1, pairs1)
+            assert order_facts(start) == (names1, pairs1)
             within = names2 <= names1 and pairs2 <= pairs1
             assert _within_order_facts(start, goal) == within
             outcomes[within, names2 <= names1] += 1
@@ -578,11 +587,11 @@ class TestSubsumption:
     @settings(max_examples=150, deadline=None)
     def test_rewrites_add_no_name_and_no_ordered_pair(self, w):
         # the lemma the refutation rests on, one search step at a time
-        names, pairs = _order_facts(w)
+        names, pairs = order_facts(w)
         start = _norm(w)
-        assert _order_facts(start) == (names, pairs)
+        assert order_facts(start) == (names, pairs)
         for candidate in _generalizations(start):
-            more_names, more_pairs = _order_facts(_norm(candidate))
+            more_names, more_pairs = order_facts(_norm(candidate))
             assert more_names <= names and more_pairs <= pairs
 
     @given(labelled_workflows(max_leaves=4), st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
