@@ -3,14 +3,14 @@
 Relations are defined once, by the order of the four endpoints
 (:func:`endpoint_relation`, read as a table in :data:`ENDPOINT_RANKS`): two
 proper intervals always stand in exactly one basic relation.  A
-relation set is a 13-bit int mask, bit ``r`` standing for ``RELATIONS[r]``;
+relation set is a 13-bit int mask, bit ``r`` standing for ``RELATIONS[r]``,
+and each member holds its bit and its inverse as plain attributes, set at import.
 :class:`RelationSet` is the public, range-checked type, while the solver
 works on the bare ints through :func:`compose_masks` and :func:`converse_mask`.
 The converse tables are built at import, and the composition tables of each
 half of a left operand (:func:`compose_rows`) from the frozen table on first use.
-:func:`generate_composition_table` re-derives the frozen table from scratch
-by enumerating small integer interval configurations, and the test suite
-asserts the two agree bit for bit.
+:func:`generate_composition_table` re-derives the frozen table from scratch on
+integer endpoints, and the test suite asserts the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ RationalLike = Union[int, str, Fraction]
 
 class Relation(enum.Enum):
     """One of the 13 basic relations between two proper intervals."""
+
+    bit: int  # its bit in a relation mask
+    inverse: "Relation"  # the relation that holds with the two intervals swapped
 
     BEFORE = "b"
     AFTER = "bi"
@@ -46,14 +49,6 @@ class Relation(enum.Enum):
     def token(self) -> str:
         return self.value
 
-    @property
-    def bit(self) -> int:
-        return 1 << _INDEX[self]
-
-    @property
-    def inverse(self) -> "Relation":
-        return _INVERSE[self]
-
     @classmethod
     def from_token(cls, token: str) -> "Relation":
         try:
@@ -66,7 +61,8 @@ class Relation(enum.Enum):
 
 
 RELATIONS: tuple[Relation, ...] = tuple(Relation)
-_INDEX = {r: i for i, r in enumerate(RELATIONS)}
+for _position, _rel in enumerate(RELATIONS):
+    _rel.bit = 1 << _position
 _BY_TOKEN = {r.value: r for r in RELATIONS}
 _ALL_BITS = (1 << len(RELATIONS)) - 1
 
@@ -207,10 +203,8 @@ ENDPOINT_RANKS: dict[Relation, tuple[int, int, int, int]] = {
 }
 
 # The inverse relation holds with the two intervals swapped.
-_INVERSE = {
-    rel: endpoint_relation(lo2, hi2, lo1, hi1)
-    for rel, (lo1, hi1, lo2, hi2) in ENDPOINT_RANKS.items()
-}
+for _rel, _ranks in ENDPOINT_RANKS.items():
+    _rel.inverse = endpoint_relation(*_ranks[2:], *_ranks[:2])
 
 
 def inverse(r: Relation) -> Relation:
@@ -224,25 +218,22 @@ def inverse_set(rels: RelationSet) -> RelationSet:
 def generate_composition_table() -> dict[tuple[Relation, Relation], RelationSet]:
     """Derive the 13x13 composition table by brute-force enumeration.
 
-    Six endpoints take at most six distinct values, so integer coordinates
-    0..5 realize every order type of three intervals.  Every interval
-    triple on that grid contributes its (i,j)/(j,k)/(i,k) relations, which
+    Six endpoints take at most six distinct values, so the 15 integer
+    intervals on 0..5 realize every order type of three intervals.  Every
+    interval triple on that grid ORs the bit of its (i,k) relation into the
+    entry of its (i,j) and (j,k) relations, indexed by bit position, which
     both populates each entry and witnesses each of its members.
     """
-    grid = [interval(a, b) for a in range(6) for b in range(a + 1, 6)]
-    n = len(grid)
-    rel = [[relation_between(grid[x], grid[y]) for y in range(n)] for x in range(n)]
-    bits: dict[tuple[Relation, Relation], int] = {
-        (r, s): 0 for r in RELATIONS for s in RELATIONS
-    }
-    for x in range(n):
-        rel_x = rel[x]
-        for y in range(n):
-            r = rel_x[y]
-            rel_y = rel[y]
-            for z in range(n):
-                bits[(r, rel_y[z])] |= rel_x[z].bit
-    return {key: RelationSet(b) for key, b in bits.items()}
+    grid = [(lo, hi) for lo in range(6) for hi in range(lo + 1, 6)]
+    position = [[endpoint_relation(*x, *y).bit.bit_length() - 1 for y in grid] for x in grid]
+    table = [[0] * len(RELATIONS) for _ in RELATIONS]
+    for from_x in position:
+        for y, xy in enumerate(from_x):
+            row = table[xy]
+            for yz, xz in zip(position[y], from_x):
+                row[yz] |= 1 << xz
+    cells = itertools.chain.from_iterable(table)
+    return dict(zip(itertools.product(RELATIONS, repeat=2), map(RelationSet, cells)))
 
 
 # Frozen composition table, derived once via generate_composition_table()

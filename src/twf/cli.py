@@ -67,9 +67,15 @@ def _has_loops(ew: ExtendedWorkflow) -> bool:
     return any(isinstance(n, Loop) for _, n in iter_nodes(ew.workflow))
 
 
+# str.splitlines() breaks a line at each of these: a report row shows them
+# as ascii() does (\n, \xNN or \uNNNN), and a carriage return as \x0d
+_LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_LINE_BREAKS[ord("\r")] = "\\x0d"
+
+
 def _shown(name: str) -> str:
-    """A name as one line of a text report: backslash and newline escaped."""
-    return name.replace("\\", "\\\\").replace("\n", "\\n")
+    """A name as one line of a text report: backslash and line breaks escaped."""
+    return name.replace("\\", "\\\\").translate(_LINE_BREAKS)
 
 
 def _witness_rows(model: Model) -> list[dict[str, str]]:

@@ -52,6 +52,7 @@ from .workflow import (
 )
 
 RESERVED = {"workflow", "constraints", "and", "or", "loop"}
+_BIT_OF = {r.token: r.bit for r in RELATIONS}
 
 # Deepest bracket nesting the parser accepts.  The tree, and every
 # recursive walk over it, is as deep as the brackets, so the cap keeps
@@ -183,9 +184,8 @@ class _Parser:
         if self.tokens[self.pos][:2] == ("IDENT", "constraints"):
             self.pos += 1
             self.expect("{", "'{'")
-            bit_of = {r.token: r.bit for r in RELATIONS}
             while self.tokens[self.pos][0] != "}":
-                constraints.append(self.constraint(bit_of))
+                constraints.append(self.constraint())
             self.pos += 1
         if self.tokens[self.pos][0] != "EOF":
             raise self.fail("unexpected trailing input")
@@ -254,10 +254,10 @@ class _Parser:
         self.offsets[id(node)] = start
         return node
 
-    def constraint(self, bit_of: dict[str, int]) -> tuple[str, int, str, int]:
+    def constraint(self) -> tuple[str, int, str, int]:
         offset = self.tokens[self.pos][2]
         left = self.ref()
-        bits = self.relset(bit_of)
+        bits = self.relset()
         right = self.ref()
         self.expect(";", "';'")
         return left, bits, right, offset
@@ -269,16 +269,16 @@ class _Parser:
             return value
         raise self.fail("expected an activity name or label")
 
-    def relset(self, bit_of: dict[str, int]) -> int:
+    def relset(self) -> int:
         self.expect("{", "a relation set")
         bits = 0
         # "{}" is the empty set, which the printer writes for an inconsistent constraint
         more = self.tokens[self.pos][0] != "}"
         while more:
             _, value, offset = self.expect("IDENT", "a relation token")
-            if value not in bit_of:
+            if value not in _BIT_OF:
                 raise self.fail(f"unknown relation {value!r}", offset)
-            bits |= bit_of[value]
+            bits |= _BIT_OF[value]
             more = self.tokens[self.pos][0] == ","
             self.pos += more
         self.expect("}", "'}'")

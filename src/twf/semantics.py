@@ -471,7 +471,7 @@ def network_models_bruteforce(n: Qcn) -> Iterator[dict[str, Interval]]:
 
 
 def network_consistent_bruteforce(n: Qcn) -> bool:
-    return next(network_models_bruteforce(n), None) is not None
+    return next(weak_orders(len(n.variables), (), _network_hulls(n)), None) is not None
 
 
 def network_scenario_relations_bruteforce(n: Qcn) -> dict[tuple[str, str], RelationSet]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from twf import cli, corpus_path, semantics
+from twf.allen import Relation, RelationSet
 from twf.cli import main
 
 RECETTE = str(corpus_path("recette.twf"))
@@ -221,6 +222,27 @@ class TestNamesInReports:
         assert '[label="a\\nb", shape=box, style=rounded];' in out
         assert "a\nb" not in out
 
+        # str.splitlines() also breaks at these; a row shows them by code point,
+        # four names a document to stay within the atom budget
+        breaks = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        shown = ["\\x0b", "\\x0c", "\\x1c", "\\x1d", "\\x1e", "\\x85", "\\u2028", "\\u2029"]
+        for k in (0, 4):
+            names = [f"'x{c}y'" for c in breaks[k : k + 4]]
+            doc.write_text(
+                f"workflow w = {' -> '.join(names)} constraints {{ {names[0]} {{b}} {names[3]}; }}\n",
+                encoding="utf-8",
+            )
+            code, out, _ = run(capsys, "check", str(doc))
+            assert code == 0
+            rows = [f"    x{e}y [{i}, {i + 1}]" for i, e in enumerate(shown[k : k + 4])]
+            assert out.splitlines()[2:] == rows
+            code, out, _ = run(capsys, "scenario", str(doc))
+            assert code == 0
+            assert out.splitlines() == out.split("\n")[:-1]
+            assert out.splitlines()[1] == f"    x{shown[k]}y {{b}} x{shown[k + 3]}y"
+        # a library-built name may also hold a carriage return
+        assert cli._shown("x\ry") == "x\\x0dy"
+
     def test_repeated_names_keep_their_suffix(self, tmp_path, capsys):
         doc = tmp_path / "rep.twf"
         doc.write_text("workflow w = 'a\\\nb' -> 'a\\\nb' -> 'p\\\\q'\n", encoding="utf-8")
@@ -229,11 +251,30 @@ class TestNamesInReports:
         assert out.splitlines()[2:] == ["    a\\nb#1 [0, 1]", "    a\\nb#2 [1, 2]", "    p\\\\q [2, 3]"]
 
 
+def drop_m_from_o_o(monkeypatch):
+    """Make the table that cli checks lose m from its (o, o) entry."""
+    frozen = cli.compose
+    o, m = Relation.OVERLAPS, Relation.MEETS
+
+    def compose(r, s):
+        return frozen(r, s) - RelationSet.of(m) if (r, s) == (o, o) else frozen(r, s)
+
+    monkeypatch.setattr(cli, "compose", compose)
+
+
 class TestTable:
     def test_verify_reports_full_match(self, capsys):
         code, out, _ = run(capsys, "table", "--verify")
         assert code == 0
         assert "169/169 entries match" in out
+
+    def test_verify_reports_a_mismatch(self, capsys, monkeypatch):
+        drop_m_from_o_o(monkeypatch)
+        assert run(capsys, "table", "--verify") == (
+            1,
+            "168/169 entries match\n    mismatch at (o, o)\n",
+            "",
+        )
 
     def test_grid_mentions_every_relation(self, capsys):
         code, out, _ = run(capsys, "table")
@@ -250,6 +291,13 @@ class TestOracleVerify:
         assert "shape refutation: 20 plans (<=4 atoms), 0 refuted a plan with a model\n" in out
         assert "entailment: 20 network pairs (<=3 variables), 0 disagreements with brute force\n" in out
         assert "result: ok" in out
+
+    def test_table_mismatch_fails_the_run(self, capsys, monkeypatch):
+        drop_m_from_o_o(monkeypatch)
+        code, out, _ = run(capsys, "oracle-verify", "--instances", "1")
+        assert code == 1
+        assert out.startswith("composition table: 168/169 entries match\n")
+        assert out.endswith("result: 1 failures\n")
 
     def test_instances_below_one_exits_two(self, capsys):
         for instances in ("0", "-1"):
